@@ -6,9 +6,10 @@ a benchmark family, ``stats`` summarizes a closure run.
 
 Exit codes: 0 success (and "holds" for entail), 1 judgment does not
 hold, 2 parse or usage error, 3 closure cap exceeded, 4 search budget
-exceeded.  Graph arguments name files, with ``-`` for stdin; ``--out``
-redirects output, with ``-`` for stdout.  Setting RHODF_COLOR=1 turns
-on ANSI colors for the verdict lines.
+exceeded, 5 internal error, with the traceback on stderr.  Graph
+arguments name files, with ``-`` for stdin; ``--out`` redirects output,
+with ``-`` for stdout.  Setting RHODF_COLOR=1 turns on ANSI colors for
+the verdict lines.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
+import traceback
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -32,6 +33,7 @@ EXIT_DOES_NOT_HOLD = 1
 EXIT_PARSE = 2
 EXIT_CAP = 3
 EXIT_BUDGET = 4
+EXIT_INTERNAL = 5
 
 
 @dataclass
@@ -41,7 +43,6 @@ class Config:
     mode: str = "full"
     triple_cap: Optional[int] = None
     search_budget: Optional[int] = None
-    trace: bool = False
     output: Optional[str] = None
 
 
@@ -98,7 +99,7 @@ def _premise_text(step) -> str:
 def cmd_close(args: argparse.Namespace, cfg: Config) -> int:
     g = _load_graph(args.graph)
     result = closure(g, cfg.mode, cap=cfg.triple_cap)
-    if not cfg.trace:
+    if not args.trace:
         _write(cfg, serialize_graph(result.closure))
         return EXIT_OK
     lines: List[str] = []
@@ -185,9 +186,7 @@ def cmd_gen(args: argparse.Namespace, cfg: Config) -> int:
 
 def cmd_stats(args: argparse.Namespace, cfg: Config) -> int:
     g = _load_graph(args.graph)
-    start = time.perf_counter()
     result = closure(g, cfg.mode, cap=cfg.triple_cap)
-    elapsed = time.perf_counter() - start
     lines = [
         f"input triples: {len(g)}",
         f"closure triples: {len(result.closure)}",
@@ -196,7 +195,7 @@ def cmd_stats(args: argparse.Namespace, cfg: Config) -> int:
     for rule_id, count in sorted(result.stats.rule_fire_counts.items()):
         if count:
             lines.append(f"rule {rule_id} fired: {count}")
-    lines.append(f"wall time: {elapsed:.4f}s")
+    lines.append(f"wall time: {result.stats.elapsed_s:.4f}s")
     _write(cfg, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -243,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="emit a benchmark graph family")
     p_gen.add_argument("family", choices=("spchain", "cubic"))
     p_gen.add_argument("n", type=_positive_int)
-    p_gen.add_argument("--seed", type=int, default=0, help="seed for randomized families")
     p_gen.add_argument("--out", default=None, help="output file, - for stdout")
     p_gen.set_defaults(func=cmd_gen)
 
@@ -264,7 +262,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         mode=getattr(args, "mode", "full"),
         triple_cap=getattr(args, "cap", None),
         search_budget=getattr(args, "budget", None),
-        trace=getattr(args, "trace", False),
         output=getattr(args, "out", None),
     )
     try:
@@ -284,6 +281,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except Exception:
+        # Anything else is a fault of the program, never a verdict.
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -128,7 +128,7 @@ def is_reserved(t: Term) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Normalization and negation
+# Negation
 # ---------------------------------------------------------------------------
 
 
@@ -158,18 +158,6 @@ def try_negate(t: Term) -> Optional[Term]:
     if isinstance(t, Iri) and t.name not in _RESERVED_NAMES:
         return Neg(t)
     return None
-
-
-def normalize(t: Term) -> Term:
-    """Return the canonical form of ``t``.
-
-    The constructors already collapse double negation (via :func:`negate`)
-    and reject malformed nestings, so every constructible term is its own
-    canonical form and this function is idempotent.
-    """
-    if not isinstance(t, Term):
-        raise TypeError(f"expected a Term, got {t!r}")
-    return t
 
 
 # ---------------------------------------------------------------------------

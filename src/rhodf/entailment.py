@@ -1,24 +1,33 @@
-"""Entailment decisions and proof extraction.
+"""Entailment decisions, the witness search and proof extraction.
 
 A graph ``g`` entails a graph ``h`` when some blank-node substitution
 sends every triple of ``h`` into the closure of ``g``.  Blank nodes in
 ``h`` act as existential variables; blank nodes in ``g`` (and so in the
 closure) are plain constants a variable may map to.
 
-The matcher is a complete backtracking search over the closure, picking
-the most constrained pattern first.  An optional budget bounds the
-number of candidate triples it may try; exceeding it raises
-:class:`SearchBudgetExceeded` so callers can tell "gave up" apart from
-"does not hold".
+:func:`solve` is the one backtracking search of the package.  It places
+patterns one at a time, always the one with the fewest candidates under
+the bindings made so far, keeps its choices on an explicit stack, and
+counts every candidate it tries against an optional budget; exceeding
+the budget raises :class:`SearchBudgetExceeded` so callers can tell
+"gave up" apart from "does not hold".  :func:`find_map` feeds it the
+closure triples a query triple can match, read from the same
+:class:`~rhodf.reasoner.TripleIndex` the closure engine uses; the model
+checker in :mod:`rhodf.semantics` feeds it the blank assignments under
+which a triple holds in an interpretation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple, TypeVar
 
-from .core import Blank, Graph, Term, Triple, VariableMap, apply_map, try_triple
-from .reasoner import ClosureResult, ProofStep, RuleId, closure
+from .core import Blank, Graph, Triple, VariableMap, apply_map, try_triple
+from .reasoner import ClosureResult, ProofStep, RuleId, TripleIndex, closure
+
+P = TypeVar("P")
+C = TypeVar("C")
+Bindings = Dict[Blank, Hashable]
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -45,38 +54,97 @@ class EntailmentReport:
     missing: Tuple[Triple, ...] = ()
 
 
-class _TargetIndex:
-    __slots__ = ("by_spo", "by_sp", "by_po", "by_pred")
+class _Choice:
+    """One placed pattern: where it sat, and the candidates left to try."""
 
-    def __init__(self, target: Graph):
-        self.by_spo: Dict[Triple, Triple] = {}
-        self.by_sp: Dict[Tuple[Term, Term], List[Triple]] = {}
-        self.by_po: Dict[Tuple[Term, Term], List[Triple]] = {}
-        self.by_pred: Dict[Term, List[Triple]] = {}
-        for t in target:
-            self.by_spo[t] = t
-            self.by_sp.setdefault((t.s, t.p), []).append(t)
-            self.by_po.setdefault((t.p, t.o), []).append(t)
-            self.by_pred.setdefault(t.p, []).append(t)
+    __slots__ = ("index", "pattern", "candidates", "bound")
 
-    def candidates(self, t: Triple, sigma: Dict[Blank, Term], variables: Set[Blank]) -> Sequence[Triple]:
-        s = sigma.get(t.s) if t.s in variables else t.s
-        o = sigma.get(t.o) if t.o in variables else t.o
+    def __init__(self, index: int, pattern, candidates) -> None:
+        self.index = index
+        self.pattern = pattern
+        self.candidates = iter(candidates)
+        self.bound: Tuple[Blank, ...] = ()
+
+
+def solve(
+    patterns: Sequence[P],
+    candidates: Callable[[P, Bindings], Sequence[C]],
+    bind: Callable[[P, C, Bindings], Optional[Bindings]],
+    budget: Optional[int] = None,
+) -> Optional[Bindings]:
+    """Bindings under which every pattern takes one of its candidates.
+
+    ``candidates(pattern, sigma)`` lists the candidates of a pattern
+    under the bindings ``sigma``; ``bind(pattern, candidate, sigma)``
+    returns the new bindings the candidate adds, or ``None`` when it
+    conflicts with ``sigma``.  The pattern with the fewest candidates
+    goes next, the earliest one on a tie, and its candidates are tried
+    in the order given.  Returns ``None`` when no choice of candidates
+    fits together.  With ``budget`` set, the search raises
+    :class:`SearchBudgetExceeded` once it has tried more candidates.
+    """
+    sigma: Bindings = {}
+    remaining = list(patterns)
+    stack: List[_Choice] = []
+    attempts = 0
+    while remaining:
+        best_i, best_c = 0, candidates(remaining[0], sigma)
+        for i in range(1, len(remaining)):
+            if not best_c:
+                break
+            c = candidates(remaining[i], sigma)
+            if len(c) < len(best_c):
+                best_i, best_c = i, c
+        stack.append(_Choice(best_i, remaining.pop(best_i), best_c))
+        # Move the newest choice to its next candidate that fits; when
+        # it has none left, put its pattern back and move the one before.
+        while True:
+            if not stack:
+                return None
+            top = stack[-1]
+            for k in top.bound:
+                del sigma[k]
+            new = None
+            for cand in top.candidates:
+                attempts += 1
+                if budget is not None and attempts > budget:
+                    raise SearchBudgetExceeded(budget)
+                new = bind(top.pattern, cand, sigma)
+                if new is not None:
+                    break
+            if new is not None:
+                sigma.update(new)
+                top.bound = tuple(new)
+                break
+            stack.pop()
+            remaining.insert(top.index, top.pattern)
+    return sigma
+
+
+def _match_candidates(target: Graph, ix: TripleIndex):
+    """Candidate lister for :func:`solve`: the triples of ``target`` that
+    a query triple can match under the bindings made so far.  Every
+    blank of the query is a variable."""
+
+    def candidates(t: Triple, sigma: Bindings) -> Sequence[Triple]:
+        s = sigma.get(t.s) if isinstance(t.s, Blank) else t.s
+        o = sigma.get(t.o) if isinstance(t.o, Blank) else t.o
         if s is not None and o is not None:
             key = try_triple(s, t.p, o)
-            hit = self.by_spo.get(key) if key is not None else None
-            return (hit,) if hit is not None else ()
+            return (key,) if key is not None and key in target else ()
         if s is not None:
-            return self.by_sp.get((s, t.p), ())
+            return ix.by_sp.get((s, t.p), ())
         if o is not None:
-            return self.by_po.get((t.p, o), ())
-        return self.by_pred.get(t.p, ())
+            return ix.by_po.get((t.p, o), ())
+        return ix.by_pred.get(t.p, ())
+
+    return candidates
 
 
-def _unify(pattern: Triple, cand: Triple, sigma: Dict[Blank, Term], variables: Set[Blank]) -> Optional[Dict[Blank, Term]]:
-    new: Dict[Blank, Term] = {}
+def _unify(pattern: Triple, cand: Triple, sigma: Bindings) -> Optional[Bindings]:
+    new: Bindings = {}
     for pt, ct in ((pattern.s, cand.s), (pattern.o, cand.o)):
-        if pt in variables:
+        if isinstance(pt, Blank):
             cur = sigma.get(pt, new.get(pt))
             if cur is None:
                 new[pt] = ct
@@ -87,6 +155,13 @@ def _unify(pattern: Triple, cand: Triple, sigma: Dict[Blank, Term], variables: S
     return new
 
 
+def _search(h: Graph, candidates, budget: Optional[int]) -> Optional[VariableMap]:
+    sigma = solve(list(h), candidates, _unify, budget)
+    if sigma is None:
+        return None
+    return VariableMap.of({v: sigma[v] for v in h.blanks})
+
+
 def find_map(h: Graph, target: Graph, budget: Optional[int] = None) -> Optional[VariableMap]:
     """A substitution sending every triple of ``h`` into ``target``.
 
@@ -94,43 +169,7 @@ def find_map(h: Graph, target: Graph, budget: Optional[int] = None) -> Optional[
     exhaustive; with ``budget`` set it raises
     :class:`SearchBudgetExceeded` after that many candidate attempts.
     """
-    variables: Set[Blank] = set(h.blanks)
-    patterns = list(h)
-    ix = _TargetIndex(target)
-    sigma: Dict[Blank, Term] = {}
-    attempts = 0
-
-    def solve(remaining: List[Triple]) -> bool:
-        nonlocal attempts
-        if not remaining:
-            return True
-        best_i = 0
-        best_c: Sequence[Triple] = ix.candidates(remaining[0], sigma, variables)
-        for i in range(1, len(remaining)):
-            if not best_c:
-                break
-            c = ix.candidates(remaining[i], sigma, variables)
-            if len(c) < len(best_c):
-                best_i, best_c = i, c
-        rest = remaining[:best_i] + remaining[best_i + 1 :]
-        pattern = remaining[best_i]
-        for cand in best_c:
-            attempts += 1
-            if budget is not None and attempts > budget:
-                raise SearchBudgetExceeded(budget)
-            new = _unify(pattern, cand, sigma, variables)
-            if new is None:
-                continue
-            sigma.update(new)
-            if solve(rest):
-                return True
-            for k in new:
-                del sigma[k]
-        return False
-
-    if not solve(patterns):
-        return None
-    return VariableMap.of({v: sigma[v] for v in variables})
+    return _search(h, _match_candidates(target, TripleIndex(target)), budget)
 
 
 def extract_proof(h: Graph, mu: VariableMap, result: ClosureResult) -> Tuple[ProofStep, ...]:
@@ -191,31 +230,27 @@ def entails(
     *,
     cap: Optional[int] = None,
     budget: Optional[int] = None,
-    use_fast_path: bool = True,
     with_proof: bool = False,
 ) -> EntailmentReport:
     """Decide whether ``g`` entails ``h`` under the selected rule set.
 
-    Ground queries are answered by direct membership in the closure
-    unless ``use_fast_path`` is off, in which case they go through the
-    same search as queries with blanks.  ``budget`` bounds that search.
+    Ground queries are answered by direct membership in the closure;
+    queries with blanks go through the witness search, which ``budget``
+    bounds.
     """
     result = closure(g, mode, cap=cap)
     cl = result.closure
-    if h.is_ground and use_fast_path:
+    if h.is_ground:
         missing = tuple(t for t in h if t not in cl)
         if missing:
             return EntailmentReport(holds=False, missing=missing)
         mu = VariableMap.identity()
         proof = extract_proof(h, mu, result) if with_proof else None
         return EntailmentReport(holds=True, proof=proof)
-    mu = find_map(h, cl, budget=budget)
+    candidates = _match_candidates(cl, TripleIndex(cl))
+    mu = _search(h, candidates, budget)
     if mu is None:
-        sigma: Dict[Blank, Term] = {}
-        ix = _TargetIndex(cl)
-        variables = set(h.blanks)
-        missing = tuple(t for t in h if not ix.candidates(t, sigma, variables))
+        missing = tuple(t for t in h if not candidates(t, {}))
         return EntailmentReport(holds=False, missing=missing)
     proof = extract_proof(h, mu, result) if with_proof else None
-    report_map = mu if h.blanks else None
-    return EntailmentReport(holds=True, map=report_map, proof=proof)
+    return EntailmentReport(holds=True, map=mu, proof=proof)

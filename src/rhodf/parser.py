@@ -46,8 +46,6 @@ from .core import (
 BARE_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_-]*")
 BLANK_LABEL = re.compile(r"[A-Za-z0-9_-]+")
 
-RNT_SUFFIX = ".rnt"
-
 
 @dataclass(frozen=True)
 class SourceSpan:

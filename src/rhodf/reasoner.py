@@ -259,34 +259,22 @@ def recognize_domains(g: Graph) -> Domains:
 # ---------------------------------------------------------------------------
 
 
-class _Index:
-    """Per-shape views of a triple set, for join-based rule matching."""
+class TripleIndex:
+    """A triple set in insertion order, keyed by predicate and by pair.
+
+    ``by_pred[p]``, ``by_sp[(s, p)]`` and ``by_po[(p, o)]`` list the
+    matching triples in insertion order, so ``by_sp[(x, SP)]`` are the
+    subproperty statements of ``x`` and ``by_po[(TYPE, c)]`` the typings
+    into ``c``.  Triples with a star object or subject are also kept by
+    the star's subscript class and by predicate, for the star rules.
+    The closure engine and the witness search share this class.
+    """
 
     __slots__ = (
         "all",
         "by_pred",
         "by_sp",
         "by_po",
-        "sp",
-        "sp_by_subj",
-        "sp_by_obj",
-        "sc",
-        "sc_by_subj",
-        "sc_by_obj",
-        "dom",
-        "dom_by_subj",
-        "dom_by_obj",
-        "rng",
-        "rng_by_subj",
-        "rng_by_obj",
-        "botc",
-        "botc_by_subj",
-        "botc_by_obj",
-        "botp",
-        "botp_by_subj",
-        "botp_by_obj",
-        "typ",
-        "typ_by_obj",
         "star_obj",
         "star_obj_by_sub",
         "star_obj_by_pred",
@@ -300,26 +288,6 @@ class _Index:
         self.by_pred: Dict[Term, List[Triple]] = {}
         self.by_sp: Dict[Tuple[Term, Term], List[Triple]] = {}
         self.by_po: Dict[Tuple[Term, Term], List[Triple]] = {}
-        self.sp: List[Triple] = []
-        self.sp_by_subj: Dict[Term, List[Triple]] = {}
-        self.sp_by_obj: Dict[Term, List[Triple]] = {}
-        self.sc: List[Triple] = []
-        self.sc_by_subj: Dict[Term, List[Triple]] = {}
-        self.sc_by_obj: Dict[Term, List[Triple]] = {}
-        self.dom: List[Triple] = []
-        self.dom_by_subj: Dict[Term, List[Triple]] = {}
-        self.dom_by_obj: Dict[Term, List[Triple]] = {}
-        self.rng: List[Triple] = []
-        self.rng_by_subj: Dict[Term, List[Triple]] = {}
-        self.rng_by_obj: Dict[Term, List[Triple]] = {}
-        self.botc: List[Triple] = []
-        self.botc_by_subj: Dict[Term, List[Triple]] = {}
-        self.botc_by_obj: Dict[Term, List[Triple]] = {}
-        self.botp: List[Triple] = []
-        self.botp_by_subj: Dict[Term, List[Triple]] = {}
-        self.botp_by_obj: Dict[Term, List[Triple]] = {}
-        self.typ: List[Triple] = []
-        self.typ_by_obj: Dict[Term, List[Triple]] = {}
         self.star_obj: List[Triple] = []
         self.star_obj_by_sub: Dict[Term, List[Triple]] = {}
         self.star_obj_by_pred: Dict[Term, List[Triple]] = {}
@@ -334,34 +302,6 @@ class _Index:
         self.by_pred.setdefault(t.p, []).append(t)
         self.by_sp.setdefault((t.s, t.p), []).append(t)
         self.by_po.setdefault((t.p, t.o), []).append(t)
-        p = t.p
-        if p == SP:
-            self.sp.append(t)
-            self.sp_by_subj.setdefault(t.s, []).append(t)
-            self.sp_by_obj.setdefault(t.o, []).append(t)
-        elif p == SC:
-            self.sc.append(t)
-            self.sc_by_subj.setdefault(t.s, []).append(t)
-            self.sc_by_obj.setdefault(t.o, []).append(t)
-        elif p == DOM:
-            self.dom.append(t)
-            self.dom_by_subj.setdefault(t.s, []).append(t)
-            self.dom_by_obj.setdefault(t.o, []).append(t)
-        elif p == RANGE:
-            self.rng.append(t)
-            self.rng_by_subj.setdefault(t.s, []).append(t)
-            self.rng_by_obj.setdefault(t.o, []).append(t)
-        elif p == BOTC:
-            self.botc.append(t)
-            self.botc_by_subj.setdefault(t.s, []).append(t)
-            self.botc_by_obj.setdefault(t.o, []).append(t)
-        elif p == BOTP:
-            self.botp.append(t)
-            self.botp_by_subj.setdefault(t.s, []).append(t)
-            self.botp_by_obj.setdefault(t.o, []).append(t)
-        elif p == TYPE:
-            self.typ.append(t)
-            self.typ_by_obj.setdefault(t.o, []).append(t)
         if isinstance(t.o, Star):
             self.star_obj.append(t)
             self.star_obj_by_sub.setdefault(t.o.cls, []).append(t)
@@ -398,7 +338,7 @@ def _neg_fresh(t: Term) -> Optional[Neg]:
 # enumeration when dx == ix is harmless.
 
 _Candidate = Tuple[Tuple[Triple, ...], Term, Term, Term]
-_Matcher = Callable[["_Index", "_Index", "_RoundContext"], Iterator[_Candidate]]
+_Matcher = Callable[[TripleIndex, TripleIndex, "_RoundContext"], Iterator[_Candidate]]
 
 
 @dataclass
@@ -416,25 +356,25 @@ class _RoundContext:
 
 
 def _m_2a(ix, dx, ctx):
-    for t1 in dx.sp:
-        for t2 in ix.sp_by_subj.get(t1.o, ()):
+    for t1 in dx.by_pred.get(SP, ()):
+        for t2 in ix.by_sp.get((t1.o, SP), ()):
             yield (t1, t2), t1.s, SP, t2.o
-    for t2 in dx.sp:
-        for t1 in ix.sp_by_obj.get(t2.s, ()):
+    for t2 in dx.by_pred.get(SP, ()):
+        for t1 in ix.by_po.get((SP, t2.s), ()):
             yield (t1, t2), t1.s, SP, t2.o
 
 
 def _m_2b(ix, dx, ctx):
-    for t1 in dx.sp:
+    for t1 in dx.by_pred.get(SP, ()):
         for t2 in ix.by_pred.get(t1.s, ()):
             yield (t1, t2), t2.s, t1.o, t2.o
     for t2 in dx.all:
-        for t1 in ix.sp_by_subj.get(t2.p, ()):
+        for t1 in ix.by_sp.get((t2.p, SP), ()):
             yield (t1, t2), t2.s, t1.o, t2.o
 
 
 def _m_2c(ix, dx, ctx):
-    for t in dx.sp:
+    for t in dx.by_pred.get(SP, ()):
         nb, na = _neg_fresh(t.o), _neg_fresh(t.s)
         if nb is not None and na is not None:
             yield (t,), nb, SP, na
@@ -442,42 +382,42 @@ def _m_2c(ix, dx, ctx):
 
 def _m_2d(ix, dx, ctx):
     for t1 in dx.star_obj:
-        for t2 in ix.sp_by_subj.get(t1.p, ()):
+        for t2 in ix.by_sp.get((t1.p, SP), ()):
             yield (t1, t2), t1.s, t2.o, t1.o
-    for t2 in dx.sp:
+    for t2 in dx.by_pred.get(SP, ()):
         for t1 in ix.star_obj_by_pred.get(t2.s, ()):
             yield (t1, t2), t1.s, t2.o, t1.o
 
 
 def _m_2e(ix, dx, ctx):
     for t1 in dx.star_subj:
-        for t2 in ix.sp_by_subj.get(t1.p, ()):
+        for t2 in ix.by_sp.get((t1.p, SP), ()):
             yield (t1, t2), t1.s, t2.o, t1.o
-    for t2 in dx.sp:
+    for t2 in dx.by_pred.get(SP, ()):
         for t1 in ix.star_subj_by_pred.get(t2.s, ()):
             yield (t1, t2), t1.s, t2.o, t1.o
 
 
 def _m_3a(ix, dx, ctx):
-    for t1 in dx.sc:
-        for t2 in ix.sc_by_subj.get(t1.o, ()):
+    for t1 in dx.by_pred.get(SC, ()):
+        for t2 in ix.by_sp.get((t1.o, SC), ()):
             yield (t1, t2), t1.s, SC, t2.o
-    for t2 in dx.sc:
-        for t1 in ix.sc_by_obj.get(t2.s, ()):
+    for t2 in dx.by_pred.get(SC, ()):
+        for t1 in ix.by_po.get((SC, t2.s), ()):
             yield (t1, t2), t1.s, SC, t2.o
 
 
 def _m_3b(ix, dx, ctx):
-    for t1 in dx.sc:
-        for t2 in ix.typ_by_obj.get(t1.s, ()):
+    for t1 in dx.by_pred.get(SC, ()):
+        for t2 in ix.by_po.get((TYPE, t1.s), ()):
             yield (t1, t2), t2.s, TYPE, t1.o
-    for t2 in dx.typ:
-        for t1 in ix.sc_by_subj.get(t2.o, ()):
+    for t2 in dx.by_pred.get(TYPE, ()):
+        for t1 in ix.by_sp.get((t2.o, SC), ()):
             yield (t1, t2), t2.s, TYPE, t1.o
 
 
 def _m_3c(ix, dx, ctx):
-    for t in dx.sc:
+    for t in dx.by_pred.get(SC, ()):
         nb, na = _neg_fresh(t.o), _neg_fresh(t.s)
         if nb is not None and na is not None:
             yield (t,), nb, SC, na
@@ -485,11 +425,11 @@ def _m_3c(ix, dx, ctx):
 
 def _m_3d(ix, dx, ctx):
     for t1 in dx.star_obj:
-        for t2 in ix.sc_by_obj.get(t1.o.cls, ()):
+        for t2 in ix.by_po.get((SC, t1.o.cls), ()):
             st = _try_star(t2.s)
             if st is not None:
                 yield (t1, t2), t1.s, t1.p, st
-    for t2 in dx.sc:
+    for t2 in dx.by_pred.get(SC, ()):
         for t1 in ix.star_obj_by_sub.get(t2.o, ()):
             st = _try_star(t2.s)
             if st is not None:
@@ -498,11 +438,11 @@ def _m_3d(ix, dx, ctx):
 
 def _m_3e(ix, dx, ctx):
     for t1 in dx.star_subj:
-        for t2 in ix.sc_by_obj.get(t1.s.cls, ()):
+        for t2 in ix.by_po.get((SC, t1.s.cls), ()):
             st = _try_star(t2.s)
             if st is not None:
                 yield (t1, t2), st, t1.p, t1.o
-    for t2 in dx.sc:
+    for t2 in dx.by_pred.get(SC, ()):
         for t1 in ix.star_subj_by_sub.get(t2.o, ()):
             st = _try_star(t2.s)
             if st is not None:
@@ -510,20 +450,20 @@ def _m_3e(ix, dx, ctx):
 
 
 def _m_4a(ix, dx, ctx):
-    for t1 in dx.dom:
+    for t1 in dx.by_pred.get(DOM, ()):
         for t2 in ix.by_pred.get(t1.s, ()):
             yield (t1, t2), t2.s, TYPE, t1.o
     for t2 in dx.all:
-        for t1 in ix.dom_by_subj.get(t2.p, ()):
+        for t1 in ix.by_sp.get((t2.p, DOM), ()):
             yield (t1, t2), t2.s, TYPE, t1.o
 
 
 def _m_4b(ix, dx, ctx):
-    for t1 in dx.rng:
+    for t1 in dx.by_pred.get(RANGE, ()):
         for t2 in ix.by_pred.get(t1.s, ()):
             yield (t1, t2), t2.o, TYPE, t1.o
     for t2 in dx.all:
-        for t1 in ix.rng_by_subj.get(t2.p, ()):
+        for t1 in ix.by_sp.get((t2.p, RANGE), ()):
             yield (t1, t2), t2.o, TYPE, t1.o
 
 
@@ -534,74 +474,74 @@ def _m_4c(ix, dx, ctx):
         nb = try_negate(t1.o)
         return nd, nb
 
-    for t1 in dx.dom:
+    for t1 in dx.by_pred.get(DOM, ()):
         nd, nb = combos(t1)
         if nd is None or nb is None:
             continue
-        for t2 in ix.typ_by_obj.get(nb, ()):
+        for t2 in ix.by_po.get((TYPE, nb), ()):
             for t3 in ix.by_pred.get(t1.s, ()):
                 yield (t1, t2, t3), t2.s, nd, t3.o
-    for t2 in dx.typ:
+    for t2 in dx.by_pred.get(TYPE, ()):
         b = try_negate(t2.o)
         if b is None:
             continue
-        for t1 in ix.dom_by_obj.get(b, ()):
+        for t1 in ix.by_po.get((DOM, b), ()):
             nd = try_negate(t1.s)
             if nd is None:
                 continue
             for t3 in ix.by_pred.get(t1.s, ()):
                 yield (t1, t2, t3), t2.s, nd, t3.o
     for t3 in dx.all:
-        for t1 in ix.dom_by_subj.get(t3.p, ()):
+        for t1 in ix.by_sp.get((t3.p, DOM), ()):
             nd, nb = combos(t1)
             if nd is None or nb is None:
                 continue
-            for t2 in ix.typ_by_obj.get(nb, ()):
+            for t2 in ix.by_po.get((TYPE, nb), ()):
                 yield (t1, t2, t3), t2.s, nd, t3.o
 
 
 def _m_4d(ix, dx, ctx):
     # (D,range,B), (Y,type,!B), (X,D,Z) -> (X,!D,Y)
-    for t1 in dx.rng:
+    for t1 in dx.by_pred.get(RANGE, ()):
         nd, nb = try_negate(t1.s), try_negate(t1.o)
         if nd is None or nb is None:
             continue
-        for t2 in ix.typ_by_obj.get(nb, ()):
+        for t2 in ix.by_po.get((TYPE, nb), ()):
             for t3 in ix.by_pred.get(t1.s, ()):
                 yield (t1, t2, t3), t3.s, nd, t2.s
-    for t2 in dx.typ:
+    for t2 in dx.by_pred.get(TYPE, ()):
         b = try_negate(t2.o)
         if b is None:
             continue
-        for t1 in ix.rng_by_obj.get(b, ()):
+        for t1 in ix.by_po.get((RANGE, b), ()):
             nd = try_negate(t1.s)
             if nd is None:
                 continue
             for t3 in ix.by_pred.get(t1.s, ()):
                 yield (t1, t2, t3), t3.s, nd, t2.s
     for t3 in dx.all:
-        for t1 in ix.rng_by_subj.get(t3.p, ()):
+        for t1 in ix.by_sp.get((t3.p, RANGE), ()):
             nd, nb = try_negate(t1.s), try_negate(t1.o)
             if nd is None or nb is None:
                 continue
-            for t2 in ix.typ_by_obj.get(nb, ()):
+            for t2 in ix.by_po.get((TYPE, nb), ()):
                 yield (t1, t2, t3), t3.s, nd, t2.s
 
 
 def _m_4e(ix, dx, ctx):
     for t1 in dx.star_obj:
-        for t2 in ix.typ_by_obj.get(t1.o.cls, ()):
+        for t2 in ix.by_po.get((TYPE, t1.o.cls), ()):
             yield (t1, t2), t1.s, t1.p, t2.s
-    for t2 in dx.typ:
+    for t2 in dx.by_pred.get(TYPE, ()):
         for t1 in ix.star_obj_by_sub.get(t2.o, ()):
             yield (t1, t2), t1.s, t1.p, t2.s
 
 
 def _m_4f(ix, dx, ctx):
     for t1 in dx.star_subj:
-        for t2 in ix.typ_by_obj.get(t1.s.cls, ()):
+        for t2 in ix.by_po.get((TYPE, t1.s.cls), ()):
             yield (t1, t2), t2.s, t1.p, t1.o
-    for t2 in dx.typ:
+    for t2 in dx.by_pred.get(TYPE, ()):
         for t1 in ix.star_subj_by_sub.get(t2.o, ()):
             yield (t1, t2), t2.s, t1.p, t1.o
 
@@ -642,46 +582,46 @@ def _m_4h(ix, dx, ctx):
 
 def _m_5a(ix, dx, ctx):
     # (A,dom,B), (D,sp,A), (X,D,Y) -> (X,type,B)
-    for t1 in dx.dom:
-        for t2 in ix.sp_by_obj.get(t1.s, ()):
+    for t1 in dx.by_pred.get(DOM, ()):
+        for t2 in ix.by_po.get((SP, t1.s), ()):
             for t3 in ix.by_pred.get(t2.s, ()):
                 yield (t1, t2, t3), t3.s, TYPE, t1.o
-    for t2 in dx.sp:
-        for t1 in ix.dom_by_subj.get(t2.o, ()):
+    for t2 in dx.by_pred.get(SP, ()):
+        for t1 in ix.by_sp.get((t2.o, DOM), ()):
             for t3 in ix.by_pred.get(t2.s, ()):
                 yield (t1, t2, t3), t3.s, TYPE, t1.o
     for t3 in dx.all:
-        for t2 in ix.sp_by_subj.get(t3.p, ()):
-            for t1 in ix.dom_by_subj.get(t2.o, ()):
+        for t2 in ix.by_sp.get((t3.p, SP), ()):
+            for t1 in ix.by_sp.get((t2.o, DOM), ()):
                 yield (t1, t2, t3), t3.s, TYPE, t1.o
 
 
 def _m_5b(ix, dx, ctx):
-    for t1 in dx.rng:
-        for t2 in ix.sp_by_obj.get(t1.s, ()):
+    for t1 in dx.by_pred.get(RANGE, ()):
+        for t2 in ix.by_po.get((SP, t1.s), ()):
             for t3 in ix.by_pred.get(t2.s, ()):
                 yield (t1, t2, t3), t3.o, TYPE, t1.o
-    for t2 in dx.sp:
-        for t1 in ix.rng_by_subj.get(t2.o, ()):
+    for t2 in dx.by_pred.get(SP, ()):
+        for t1 in ix.by_sp.get((t2.o, RANGE), ()):
             for t3 in ix.by_pred.get(t2.s, ()):
                 yield (t1, t2, t3), t3.o, TYPE, t1.o
     for t3 in dx.all:
-        for t2 in ix.sp_by_subj.get(t3.p, ()):
-            for t1 in ix.rng_by_subj.get(t2.o, ()):
+        for t2 in ix.by_sp.get((t3.p, SP), ()):
+            for t1 in ix.by_sp.get((t2.o, RANGE), ()):
                 yield (t1, t2, t3), t3.o, TYPE, t1.o
 
 
 def _m_6a(ix, dx, ctx):
-    for t in dx.botc:
+    for t in dx.by_pred.get(BOTC, ()):
         yield (t,), t.o, BOTC, t.s
 
 
 def _m_6b(ix, dx, ctx):
-    for t1 in dx.botc:
-        for t2 in ix.sc_by_obj.get(t1.s, ()):
+    for t1 in dx.by_pred.get(BOTC, ()):
+        for t2 in ix.by_po.get((SC, t1.s), ()):
             yield (t1, t2), t2.s, BOTC, t1.o
-    for t2 in dx.sc:
-        for t1 in ix.botc_by_subj.get(t2.o, ()):
+    for t2 in dx.by_pred.get(SC, ()):
+        for t1 in ix.by_sp.get((t2.o, BOTC), ()):
             yield (t1, t2), t2.s, BOTC, t1.o
 
 
@@ -695,30 +635,30 @@ def _m_6c(ix, dx, ctx):
 
 
 def _m_6d(ix, dx, ctx):
-    for t in dx.botc:
+    for t in dx.by_pred.get(BOTC, ()):
         nb = _neg_fresh(t.o)
         if nb is not None:
             yield (t,), t.s, SC, nb
 
 
 def _m_6e(ix, dx, ctx):
-    for t in dx.sc:
+    for t in dx.by_pred.get(SC, ()):
         nb = _neg_fresh(t.o)
         if nb is not None:
             yield (t,), t.s, BOTC, nb
 
 
 def _m_7a(ix, dx, ctx):
-    for t in dx.botp:
+    for t in dx.by_pred.get(BOTP, ()):
         yield (t,), t.o, BOTP, t.s
 
 
 def _m_7b(ix, dx, ctx):
-    for t1 in dx.botp:
-        for t2 in ix.sp_by_obj.get(t1.s, ()):
+    for t1 in dx.by_pred.get(BOTP, ()):
+        for t2 in ix.by_po.get((SP, t1.s), ()):
             yield (t1, t2), t2.s, BOTP, t1.o
-    for t2 in dx.sp:
-        for t1 in ix.botp_by_subj.get(t2.o, ()):
+    for t2 in dx.by_pred.get(SP, ()):
+        for t1 in ix.by_sp.get((t2.o, BOTP), ()):
             yield (t1, t2), t2.s, BOTP, t1.o
 
 
@@ -732,14 +672,14 @@ def _m_7c(ix, dx, ctx):
 
 
 def _m_7d(ix, dx, ctx):
-    for t in dx.botp:
+    for t in dx.by_pred.get(BOTP, ()):
         nb = _neg_fresh(t.o)
         if nb is not None:
             yield (t,), t.s, SP, nb
 
 
 def _m_7e(ix, dx, ctx):
-    for t in dx.sp:
+    for t in dx.by_pred.get(SP, ()):
         nb = _neg_fresh(t.o)
         if nb is not None:
             yield (t,), t.s, BOTP, nb
@@ -747,32 +687,32 @@ def _m_7e(ix, dx, ctx):
 
 def _m_8a(ix, dx, ctx):
     # (A,dom,C), (B,dom,D), (C,botc,D) -> (A,botp,B)
-    for t1 in dx.dom:
-        for t3 in ix.botc_by_subj.get(t1.o, ()):
-            for t2 in ix.dom_by_obj.get(t3.o, ()):
+    for t1 in dx.by_pred.get(DOM, ()):
+        for t3 in ix.by_sp.get((t1.o, BOTC), ()):
+            for t2 in ix.by_po.get((DOM, t3.o), ()):
                 yield (t1, t2, t3), t1.s, BOTP, t2.s
-    for t2 in dx.dom:
-        for t3 in ix.botc_by_obj.get(t2.o, ()):
-            for t1 in ix.dom_by_obj.get(t3.s, ()):
+    for t2 in dx.by_pred.get(DOM, ()):
+        for t3 in ix.by_po.get((BOTC, t2.o), ()):
+            for t1 in ix.by_po.get((DOM, t3.s), ()):
                 yield (t1, t2, t3), t1.s, BOTP, t2.s
-    for t3 in dx.botc:
-        for t1 in ix.dom_by_obj.get(t3.s, ()):
-            for t2 in ix.dom_by_obj.get(t3.o, ()):
+    for t3 in dx.by_pred.get(BOTC, ()):
+        for t1 in ix.by_po.get((DOM, t3.s), ()):
+            for t2 in ix.by_po.get((DOM, t3.o), ()):
                 yield (t1, t2, t3), t1.s, BOTP, t2.s
 
 
 def _m_8b(ix, dx, ctx):
-    for t1 in dx.rng:
-        for t3 in ix.botc_by_subj.get(t1.o, ()):
-            for t2 in ix.rng_by_obj.get(t3.o, ()):
+    for t1 in dx.by_pred.get(RANGE, ()):
+        for t3 in ix.by_sp.get((t1.o, BOTC), ()):
+            for t2 in ix.by_po.get((RANGE, t3.o), ()):
                 yield (t1, t2, t3), t1.s, BOTP, t2.s
-    for t2 in dx.rng:
-        for t3 in ix.botc_by_obj.get(t2.o, ()):
-            for t1 in ix.rng_by_obj.get(t3.s, ()):
+    for t2 in dx.by_pred.get(RANGE, ()):
+        for t3 in ix.by_po.get((BOTC, t2.o), ()):
+            for t1 in ix.by_po.get((RANGE, t3.s), ()):
                 yield (t1, t2, t3), t1.s, BOTP, t2.s
-    for t3 in dx.botc:
-        for t1 in ix.rng_by_obj.get(t3.s, ()):
-            for t2 in ix.rng_by_obj.get(t3.o, ()):
+    for t3 in dx.by_pred.get(BOTC, ()):
+        for t1 in ix.by_po.get((RANGE, t3.s), ()):
+            for t2 in ix.by_po.get((RANGE, t3.o), ()):
                 yield (t1, t2, t3), t1.s, BOTP, t2.s
 
 
@@ -836,7 +776,7 @@ def instantiate(rule: RuleId, g: Graph, domains: Optional[Domains] = None) -> Li
         raise ValueError(f"rule {rule} is not a closure rule")
     if domains is None:
         domains = recognize_domains(g)
-    ix = _Index(g)
+    ix = TripleIndex(g)
     ctx = _RoundContext(
         class_terms=sorted(domains.class_terms, key=repr),
         property_terms=sorted(domains.property_terms, key=repr),
@@ -863,7 +803,7 @@ class _Engine:
         self.rules = [r for r in RuleId if r in rule_ids and r in _MATCHERS]
         self.order: List[Triple] = []
         self.seen: Set[Triple] = set()
-        self.index = _Index()
+        self.index = TripleIndex()
         self.tracker = _DomainTracker()
         self.provenance: Dict[Triple, ProofStep] = {}
         self.fires: Dict[str, int] = {r.value: 0 for r in self.rules}
@@ -904,7 +844,7 @@ class _Engine:
         prev_props: Set[Term] = set()
         while delta:
             iterations += 1
-            dx = _Index(delta)
+            dx = TripleIndex(delta)
             delta_set = set(delta)
             classes = sorted(self.tracker.class_terms, key=repr)
             props = sorted(self.tracker.property_terms, key=repr)

@@ -21,11 +21,16 @@ paraconsistency property the test suite exercises.
 ``check_model`` verifies a graph against an interpretation and reports
 each failed condition by name, e.g. ``Simple.2`` or ``Disjointness
 I.3.Symmetry``.  Blank nodes without a fixed denotation are treated
-existentially with a backtracking search over the resource domain.
+existentially.  Their assignments over the resource domain are found by
+:func:`rhodf.entailment.solve`, the same search that :func:`find_map
+<rhodf.entailment.find_map>` runs: each triple's candidates are the
+values of its unbound blanks under which it holds, so a triple that can
+no longer hold cuts the search off before its other blanks are tried.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import (
     Dict,
@@ -59,6 +64,7 @@ from .core import (
     Triple,
     try_negate,
 )
+from .entailment import solve
 from .parser import parse_term, serialize_term
 from .reasoner import closure
 
@@ -93,7 +99,7 @@ class Interpretation:
     ``ext_p_pos`` and ``ext_c_pos`` store positive extensions sparsely;
     elements without an entry have empty extensions.  Negative
     extensions are not stored: they are read off the complement map,
-    so ``ext_p_neg(p)`` is the positive extension of ``p``'s complement
+    so ``neg_pairs(p)`` is the positive extension of ``p``'s complement
     when one is registered and empty otherwise.
     """
 
@@ -127,14 +133,6 @@ class Interpretation:
         if mate is None:
             return _EMPTY_MEMBERS
         return self.ext_c_pos.get(mate, _EMPTY_MEMBERS)
-
-    @property
-    def ext_p_neg(self) -> Dict[Element, FrozenSet[Pair]]:
-        return {p: self.neg_pairs(p) for p in self.delta_p}
-
-    @property
-    def ext_c_neg(self) -> Dict[Element, FrozenSet[Element]]:
-        return {c: self.neg_members(c) for c in self.delta_c}
 
 
 def project(pairs: Iterable[Pair], side: str) -> FrozenSet[Element]:
@@ -326,12 +324,6 @@ def canonical_model(g: Graph, cap: Optional[int] = None) -> "Interpretation":
         complement=complement,
         denote=denote,
     )
-
-
-def is_satisfiable(g: Graph, cap: Optional[int] = None) -> Tuple[bool, "Interpretation"]:
-    """Always true, with the canonical model as witness."""
-    model = canonical_model(g, cap=cap)
-    return True, model
 
 
 # ---------------------------------------------------------------------------
@@ -635,6 +627,28 @@ def _required_terms(t: Triple) -> List[Term]:
     return req
 
 
+def _holding_assignments(i: Interpretation, free: Set[Blank]):
+    """Candidate lister for :func:`~rhodf.entailment.solve`: the
+    assignments of a triple's still unbound blanks, over the resource
+    domain, under which the triple holds in ``i``."""
+    domain = sorted(i.delta_r, key=_fmt)
+
+    def candidates(t: Triple, alpha: Mapping[Blank, Element]) -> List[Dict[Blank, Element]]:
+        unbound = [x for x in dict.fromkeys((t.s, t.o)) if x in free and x not in alpha]
+        out = []
+        for values in itertools.product(domain, repeat=len(unbound)):
+            new = dict(zip(unbound, values))
+            if not _simple_violations(i, t, {**alpha, **new}):
+                out.append(new)
+        return out
+
+    return candidates
+
+
+def _take(t: Triple, new: Dict[Blank, Element], alpha: Mapping[Blank, Element]) -> Dict[Blank, Element]:
+    return new
+
+
 def check_model(i: Interpretation, g: Graph) -> SatisfactionReport:
     """Check that ``i`` is well formed and satisfies ``g``.
 
@@ -667,44 +681,10 @@ def check_model(i: Interpretation, g: Graph) -> SatisfactionReport:
     open_triples = [t for t in checkable if {t.s, t.o} & free_set]
     for t in ground:
         violations.extend(_simple_violations(i, t, {}))
-    if open_triples:
-        assignment = _find_assignment(i, open_triples, free)
-        if assignment is None:
-            names = ", ".join(serialize_term(b) for b in free)
-            violations.append(Violation("Simple.Existential", f"no assignment of {names} over the resource domain satisfies the graph"))
+    if open_triples and solve(open_triples, _holding_assignments(i, free_set), _take) is None:
+        names = ", ".join(serialize_term(b) for b in free)
+        violations.append(Violation("Simple.Existential", f"no assignment of {names} over the resource domain satisfies the graph"))
     return SatisfactionReport(satisfied=not violations, violations=tuple(violations))
-
-
-def _find_assignment(
-    i: Interpretation, open_triples: Sequence[Triple], free: Sequence[Blank]
-) -> Optional[Dict[Blank, Element]]:
-    domain = sorted(i.delta_r, key=_fmt)
-    order = sorted(free, key=lambda b: (-sum(1 for t in open_triples if b in (t.s, t.o)), b.name))
-    by_blank: Dict[Blank, List[Triple]] = {b: [] for b in order}
-    for t in open_triples:
-        for x in (t.s, t.o):
-            if isinstance(x, Blank) and x in by_blank:
-                by_blank[x].append(t)
-    alpha: Dict[Blank, Element] = {}
-
-    def assigned(t: Triple) -> bool:
-        return all(not isinstance(x, Blank) or x in alpha or x in i.denote for x in (t.s, t.o))
-
-    def solve(k: int) -> bool:
-        if k == len(order):
-            return True
-        b = order[k]
-        for el in domain:
-            alpha[b] = el
-            if all(not assigned(t) or not _simple_violations(i, t, alpha) for t in by_blank[b]):
-                if solve(k + 1):
-                    return True
-            del alpha[b]
-        return False
-
-    if solve(0):
-        return dict(alpha)
-    return None
 
 
 def serialize_interpretation(i: Interpretation) -> str:

@@ -5,6 +5,7 @@ import pathlib
 import pytest
 
 from rhodf import load_interpretation, check_model, parse_graph
+from rhodf import cli
 from rhodf.cli import main
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -116,6 +117,17 @@ class TestEntail:
         assert main(["entail", "--mode", "rdf", EXTENDED, query]) == 1
         capsys.readouterr()
 
+    def test_long_chain_query_is_entailed(self, tmp_path, capsys):
+        # One pattern per chain link: a search that recursed once per
+        # placed pattern would overflow the stack long before the end.
+        n = 1500
+        graph = write(tmp_path, "chain.rnt", "".join(f"n{i} e n{i + 1} .\n" for i in range(n)))
+        query = write(tmp_path, "q.rnt", "".join(f"_:x{i} e _:x{i + 1} .\n" for i in range(n)))
+        assert main(["entail", graph, query]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("entailed\n")
+        assert f"map _:x{n} -> n{n}\n" in out
+
 
 class TestModel:
     def test_fixture_model_is_satisfiable_and_reloadable(self, capsys):
@@ -166,6 +178,17 @@ class TestDiagnostics:
     def test_missing_file_is_reported(self, capsys):
         assert main(["close", "no-such-file.rnt"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_internal_error_has_its_own_code(self, capsys, monkeypatch):
+        def broken(args, cfg):
+            raise RuntimeError("broken on purpose")
+
+        monkeypatch.setattr(cli, "cmd_close", broken)
+        assert main(["close", MEDICAL]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback (most recent call last)" in captured.err
+        assert "RuntimeError: broken on purpose" in captured.err
 
     def test_unknown_subcommand_is_a_usage_error(self, capsys):
         assert main(["frobnicate"]) == 2

@@ -21,7 +21,6 @@ from rhodf import (
     is_negatable,
     is_reserved,
     negate,
-    normalize,
     try_negate,
     try_triple,
     validate_triple,
@@ -88,12 +87,6 @@ class TestNegation:
     def test_is_negatable_matches_try_negate(self):
         for t in (A, Neg(A), Blank("x"), Literal("v"), Star(A), TYPE):
             assert is_negatable(t) == (try_negate(t) is not None)
-
-    def test_normalize_is_identity_on_terms(self):
-        for t in (A, Neg(A), Star(Neg(A)), Blank("x"), Literal("v")):
-            assert normalize(t) == t
-        with pytest.raises(TypeError):
-            normalize("a")
 
 
 class TestTripleValidity:

@@ -1,5 +1,9 @@
 """Model checker, canonical models and interpretation fixtures."""
 
+import itertools
+import random
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,13 +20,14 @@ from rhodf import (
     canonical_model,
     check_model,
     closure,
-    is_satisfiable,
     load_interpretation,
     parse_graph,
     project,
     random_graph,
     serialize_interpretation,
+    try_triple,
 )
+from rhodf.semantics import _simple_violations
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
@@ -75,9 +80,7 @@ class TestCanonicalModel:
     @given(seeds)
     def test_random_graphs_are_satisfiable_with_checked_witness(self, seed):
         g = random_graph(seed=seed, salt_contradiction=bool(seed % 2))
-        sat, model = is_satisfiable(g)
-        assert sat
-        assert check_model(model, g).satisfied
+        assert check_model(canonical_model(g), g).satisfied
 
 
 class TestSaturationCorners:
@@ -154,6 +157,58 @@ class TestCheckModelAgainstGraphs:
         g = parse_graph("s p *c .")
         assert check_model(load_interpretation(covered), g).satisfied
         assert not check_model(load_interpretation(partial), g).satisfied
+
+
+class TestExistentialSearch:
+    """The blank-node search of ``check_model`` against brute force."""
+
+    @staticmethod
+    def brute_force_exists(i, open_triples, free):
+        for values in itertools.product(sorted(i.delta_r, key=repr), repeat=len(free)):
+            alpha = dict(zip(free, values))
+            if all(not _simple_violations(i, t, alpha) for t in open_triples):
+                return True
+        return False
+
+    def test_search_matches_brute_force(self):
+        pool = [Blank(f"q{k}") for k in range(1, 4)]
+        outcomes = []
+        for seed in range(60):
+            rng = random.Random(seed)
+            g = random_graph(seed=seed, max_triples=6, max_terms=5)
+            m = canonical_model(g)
+            terms = sorted((x for x in m.denote if x in g.universe), key=repr)
+            triples = list(closure(g).closure)
+            query = []
+            for _ in range(rng.randint(1, 3)):
+                t = rng.choice(triples)
+                if rng.random() < 0.5:
+                    t = try_triple(rng.choice(terms), t.p, rng.choice(terms)) or t
+                s = rng.choice(pool) if rng.random() < 0.6 else t.s
+                o = rng.choice(pool) if rng.random() < 0.6 else t.o
+                t = try_triple(s, t.p, o)
+                if t is not None and all(x in m.denote for x in (t.s, t.p, t.o) if x not in pool):
+                    query.append(t)
+            h = Graph(query)
+            free = sorted(h.blanks - set(m.denote), key=repr)
+            if not free:
+                continue
+            open_triples = [t for t in h if {t.s, t.o} & set(free)]
+            exists = self.brute_force_exists(m, open_triples, free)
+            report = check_model(m, h)
+            reported = any(v.condition == "Simple.Existential" for v in report.violations)
+            assert reported is not exists, (seed, h.triples())
+            outcomes.append(exists)
+        assert True in outcomes and False in outcomes
+
+    def test_independent_patterns_are_checked_one_at_a_time(self):
+        m = canonical_model(parse_graph("a p b ."))
+        patterns = "".join(f"_:x{k} p _:y{k} .\n" for k in range(8))
+        for query, expected in ((patterns, []), (patterns + "_:z p _:z .\n", ["Simple.Existential"])):
+            start = time.perf_counter()
+            report = check_model(m, parse_graph(query))
+            assert time.perf_counter() - start < 0.5
+            assert [v.condition for v in report.violations] == expected
 
 
 class TestCountermodels:
