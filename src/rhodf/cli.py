@@ -5,8 +5,10 @@ judgment, ``model`` prints the canonical interpretation, ``gen`` emits
 a benchmark family, ``stats`` summarizes a closure run.
 
 Exit codes: 0 success (and "holds" for entail), 1 judgment does not
-hold, 2 parse or usage error, 3 closure cap exceeded, 4 search budget
-exceeded, 5 internal error, with the traceback on stderr.  Graph
+hold, 2 parse or usage error or an unreadable input file, 3 closure cap
+exceeded, 4 search budget exceeded, 5 internal error, with the
+traceback on stderr; any exception not listed here, a ``ValueError``
+included, is an internal error.  Graph
 arguments name files, with ``-`` for stdin; ``--out`` redirects output,
 with ``-`` for stdout.  Setting RHODF_COLOR=1 turns on ANSI colors for
 the verdict lines.
@@ -269,7 +271,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except GraphParseError as exc:
         _report_parse_errors(getattr(exc, "path", "<input>"), exc)
         return EXIT_PARSE
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
+        # An unreadable or non-UTF-8 input file is the user's error.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ClosureCapError as exc:
@@ -278,9 +281,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SearchBudgetExceeded as exc:
         print(f"unknown: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except Exception:
         # Anything else is a fault of the program, never a verdict.
         traceback.print_exc()

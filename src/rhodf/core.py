@@ -42,7 +42,7 @@ class Term:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Iri(Term):
     """A named resource.  Reserved names are ordinary ``Iri`` values."""
 
@@ -53,14 +53,14 @@ class Iri(Term):
             raise ValueError("IRI name must be non-empty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Literal(Term):
     """A data value, identified by its lexical form."""
 
     lexical: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Blank(Term):
     """A blank node.  Blank nodes act as the variables of entailment."""
 
@@ -71,7 +71,7 @@ class Blank(Term):
             raise ValueError("blank node label must be non-empty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Neg(Term):
     """A negated resource.  Only plain non-reserved IRIs can be negated."""
 
@@ -84,7 +84,7 @@ class Neg(Term):
             raise ValueError(f"reserved name {self.base.name!r} cannot be negated")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Star(Term):
     """A universal class term.  ``Star(c)`` stands for every member of ``c``."""
 
@@ -201,7 +201,7 @@ class InvalidTripleError(ValueError):
         self.violations = violations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Triple:
     """A valid statement.  Construction enforces the validity conditions."""
 
@@ -220,9 +220,10 @@ class Triple:
 
 def try_triple(s: Term, p: Term, o: Term) -> Optional[Triple]:
     """Build a triple, or return ``None`` when the combination is invalid."""
-    if validate_triple(s, p, o):
+    try:
+        return Triple(s, p, o)
+    except InvalidTripleError:
         return None
-    return Triple(s, p, o)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +319,7 @@ EMPTY_GRAPH = Graph()
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VariableMap:
     """A substitution sending blank nodes to terms (identity elsewhere)."""
 

@@ -25,7 +25,6 @@ from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, Tupl
 from .core import Blank, Graph, Triple, VariableMap, apply_map, try_triple
 from .reasoner import ClosureResult, ProofStep, RuleId, TripleIndex, closure
 
-P = TypeVar("P")
 C = TypeVar("C")
 Bindings = Dict[Blank, Hashable]
 
@@ -59,7 +58,7 @@ class _Choice:
 
     __slots__ = ("index", "pattern", "candidates", "bound")
 
-    def __init__(self, index: int, pattern, candidates) -> None:
+    def __init__(self, index: int, pattern: int, candidates) -> None:
         self.index = index
         self.pattern = pattern
         self.candidates = iter(candidates)
@@ -67,9 +66,9 @@ class _Choice:
 
 
 def solve(
-    patterns: Sequence[P],
-    candidates: Callable[[P, Bindings], Sequence[C]],
-    bind: Callable[[P, C, Bindings], Optional[Bindings]],
+    patterns: Sequence[Triple],
+    candidates: Callable[[Triple, Bindings], Sequence[C]],
+    bind: Callable[[Triple, C, Bindings], Optional[Bindings]],
     budget: Optional[int] = None,
 ) -> Optional[Bindings]:
     """Bindings under which every pattern takes one of its candidates.
@@ -82,19 +81,39 @@ def solve(
     in the order given.  Returns ``None`` when no choice of candidates
     fits together.  With ``budget`` set, the search raises
     :class:`SearchBudgetExceeded` once it has tried more candidates.
+
+    A pattern's candidates may depend on ``sigma`` only through the
+    bindings of the pattern's own blanks, its blank subject and object.
+    The search relies on this: it lists a pattern again only after one
+    of those blanks was bound or unbound, so each placement costs a
+    constant number of listings rather than one per remaining pattern.
     """
     sigma: Bindings = {}
-    remaining = list(patterns)
+    listed: List[Optional[Sequence[C]]] = [None] * len(patterns)
+    users: Dict[Blank, List[int]] = {}
+    for n, pattern in enumerate(patterns):
+        for x in dict.fromkeys((pattern.s, pattern.o)):
+            if isinstance(x, Blank):
+                users.setdefault(x, []).append(n)
+
+    def forget(keys: Tuple[Blank, ...]) -> None:
+        for k in keys:
+            for n in users.get(k, ()):
+                listed[n] = None
+
+    remaining = list(range(len(patterns)))
     stack: List[_Choice] = []
     attempts = 0
     while remaining:
-        best_i, best_c = 0, candidates(remaining[0], sigma)
-        for i in range(1, len(remaining)):
-            if not best_c:
-                break
-            c = candidates(remaining[i], sigma)
-            if len(c) < len(best_c):
+        best_i, best_c = 0, None
+        for i, n in enumerate(remaining):
+            c = listed[n]
+            if c is None:
+                c = listed[n] = candidates(patterns[n], sigma)
+            if best_c is None or len(c) < len(best_c):
                 best_i, best_c = i, c
+                if not c:
+                    break
         stack.append(_Choice(best_i, remaining.pop(best_i), best_c))
         # Move the newest choice to its next candidate that fits; when
         # it has none left, put its pattern back and move the one before.
@@ -104,17 +123,19 @@ def solve(
             top = stack[-1]
             for k in top.bound:
                 del sigma[k]
+            forget(top.bound)
             new = None
             for cand in top.candidates:
                 attempts += 1
                 if budget is not None and attempts > budget:
                     raise SearchBudgetExceeded(budget)
-                new = bind(top.pattern, cand, sigma)
+                new = bind(patterns[top.pattern], cand, sigma)
                 if new is not None:
                     break
             if new is not None:
                 sigma.update(new)
                 top.bound = tuple(new)
+                forget(top.bound)
                 break
             stack.pop()
             remaining.insert(top.index, top.pattern)

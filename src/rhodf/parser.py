@@ -33,6 +33,7 @@ from typing import Iterable, List, Optional, Tuple
 from .core import (
     Blank,
     Graph,
+    InvalidTripleError,
     Iri,
     Literal,
     Neg,
@@ -40,7 +41,6 @@ from .core import (
     Term,
     Triple,
     negate,
-    validate_triple,
 )
 
 BARE_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_-]*")
@@ -287,12 +287,11 @@ class _Parser:
             )
             return
         (s, span), (p, _), (o, _) = terms
-        violations = validate_triple(s, p, o)
-        if violations:
-            for code in violations:
+        try:
+            self.triples.append(Triple(s, p, o))
+        except InvalidTripleError as exc:
+            for code in exc.violations:
                 self.errors.append(ParseError(_VIOLATION_TEXT[code], span, "validation"))
-            return
-        self.triples.append(Triple(s, p, o))
 
 
 # ---------------------------------------------------------------------------

@@ -130,7 +130,7 @@ MODE_RULE_IDS: Mapping[str, FrozenSet[RuleId]] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProofStep:
     """One derivation step.
 
@@ -310,6 +310,27 @@ class TripleIndex:
             self.star_subj.append(t)
             self.star_subj_by_sub.setdefault(t.s.cls, []).append(t)
             self.star_subj_by_pred.setdefault(t.p, []).append(t)
+
+
+class _Delta:
+    """A round's new triples in the buckets the matchers read from their
+    delta side: all of them, by predicate, and those with a star object
+    or subject.  The pair buckets of a full :class:`TripleIndex` would go
+    unused here."""
+
+    __slots__ = ("all", "by_pred", "star_obj", "star_subj")
+
+    def __init__(self, triples: List[Triple]):
+        self.all = triples
+        self.by_pred: Dict[Term, List[Triple]] = {}
+        self.star_obj: List[Triple] = []
+        self.star_subj: List[Triple] = []
+        for t in triples:
+            self.by_pred.setdefault(t.p, []).append(t)
+            if isinstance(t.o, Star):
+                self.star_obj.append(t)
+            if isinstance(t.s, Star):
+                self.star_subj.append(t)
 
 
 def _try_star(t: Term) -> Optional[Star]:
@@ -801,25 +822,25 @@ class _Engine:
     def __init__(self, g: Graph, rule_ids: FrozenSet[RuleId], cap: int):
         self.cap = cap
         self.rules = [r for r in RuleId if r in rule_ids and r in _MATCHERS]
-        self.order: List[Triple] = []
-        self.seen: Set[Triple] = set()
+        # Raw (s, p, o) keys of the installed and pending triples, so a
+        # rediscovered candidate is dropped before a Triple is validated
+        # and built for it.
+        self.seen: Set[Tuple[Term, Term, Term]] = set()
         self.index = TripleIndex()
         self.tracker = _DomainTracker()
         self.provenance: Dict[Triple, ProofStep] = {}
         self.fires: Dict[str, int] = {r.value: 0 for r in self.rules}
         self.self_botc: List[Triple] = []
         self.self_botp: List[Triple] = []
-        self.pending: List[Tuple[Triple, ProofStep]] = []
-        self.pending_set: Set[Triple] = set()
+        self.pending: List[ProofStep] = []
         self.input = [t for t in g]
         for t in self.input:
+            self.seen.add((t.s, t.p, t.o))
             self._install(t)
-        if len(self.order) > self.cap:
-            raise ClosureCapError(self.cap, len(self.order))
+        if len(self.index.all) > self.cap:
+            raise ClosureCapError(self.cap, len(self.index.all))
 
     def _install(self, t: Triple) -> None:
-        self.order.append(t)
-        self.seen.add(t)
         self.index.add(t)
         self.tracker.add_triple(t)
         if _is_self_botc(t):
@@ -828,13 +849,16 @@ class _Engine:
             self.self_botp.append(t)
 
     def _emit(self, rule: RuleId, premises: Tuple[Triple, ...], s: Term, p: Term, o: Term) -> None:
-        t = try_triple(s, p, o)
-        if t is None or t in self.seen or t in self.pending_set:
+        key = (s, p, o)
+        if key in self.seen:
             return
-        if len(self.seen) + len(self.pending) + 1 > self.cap:
-            raise ClosureCapError(self.cap, len(self.seen) + len(self.pending) + 1)
-        self.pending.append((t, ProofStep(rule, premises, t)))
-        self.pending_set.add(t)
+        t = try_triple(s, p, o)
+        if t is None:
+            return
+        if len(self.seen) + 1 > self.cap:
+            raise ClosureCapError(self.cap, len(self.seen) + 1)
+        self.seen.add(key)
+        self.pending.append(ProofStep(rule, premises, t))
         self.fires[rule.value] += 1
 
     def run(self) -> Tuple[int, int]:
@@ -842,10 +866,10 @@ class _Engine:
         delta = list(self.input)
         prev_classes: Set[Term] = set()
         prev_props: Set[Term] = set()
+        old_botc = old_botp = 0
         while delta:
             iterations += 1
-            dx = TripleIndex(delta)
-            delta_set = set(delta)
+            dx = _Delta(delta)
             classes = sorted(self.tracker.class_terms, key=repr)
             props = sorted(self.tracker.property_terms, key=repr)
             ctx = _RoundContext(
@@ -853,23 +877,25 @@ class _Engine:
                 property_terms=props,
                 new_class_terms=[c for c in classes if c not in prev_classes],
                 new_property_terms=[p for p in props if p not in prev_props],
-                self_botc_delta=[t for t in self.self_botc if t in delta_set],
-                self_botc_old=[t for t in self.self_botc if t not in delta_set],
-                self_botp_delta=[t for t in self.self_botp if t in delta_set],
-                self_botp_old=[t for t in self.self_botp if t not in delta_set],
+                # The delta was installed last, so its self-disjointness
+                # statements are the tails of the two lists.
+                self_botc_delta=self.self_botc[old_botc:],
+                self_botc_old=self.self_botc[:old_botc],
+                self_botp_delta=self.self_botp[old_botp:],
+                self_botp_old=self.self_botp[:old_botp],
             )
+            old_botc, old_botp = len(self.self_botc), len(self.self_botp)
             prev_classes = set(classes)
             prev_props = set(props)
             self.pending = []
-            self.pending_set = set()
             for rule in self.rules:
                 for premises, s, p, o in _MATCHERS[rule](self.index, dx, ctx):
                     self._emit(rule, premises, s, p, o)
-            for t, step in self.pending:
-                self._install(t)
-                self.provenance[t] = step
-            delta = [t for t, _ in self.pending]
-        return iterations, len(self.order)
+            for step in self.pending:
+                self._install(step.conclusion)
+                self.provenance[step.conclusion] = step
+            delta = [step.conclusion for step in self.pending]
+        return iterations, len(self.index.all)
 
 
 def closure(
@@ -897,9 +923,12 @@ def closure(
     start = time.perf_counter()
     engine = _Engine(g, rule_ids, cap)
     iterations, size = engine.run()
+    # The key set is not needed past the fixpoint; freeing it before the
+    # Graph builds its own set keeps it out of the peak memory.
+    engine.seen.clear()
     elapsed = time.perf_counter() - start
     return ClosureResult(
-        closure=Graph(engine.order),
+        closure=Graph(engine.index.all),
         provenance=engine.provenance,
         class_terms=frozenset(engine.tracker.class_terms),
         property_terms=frozenset(engine.tracker.property_terms),

@@ -272,6 +272,11 @@ def canonical_model(g: Graph, cap: Optional[int] = None) -> "Interpretation":
     extensions hold the closure's triples, with star positions left
     out of the pair extensions and a final semantic saturation pass
     covering the consequences that triple syntax cannot express.
+
+    The model is a countermodel for ground star-free queries: a valid
+    star-free, blank-free triple over the closure's terms holds in it
+    only if the closure contains it.  Star triples are excluded, since
+    ``a p *c`` holds vacuously when ``c`` has no members, derived or not.
     """
     result = closure(g, "full", cap=cap)
     cl = result.closure
@@ -501,19 +506,22 @@ def _global_violations(i: Interpretation) -> List[Violation]:
             out.append(Violation("Disjointness I.2", f"property disjointness pair {_fmt_pair((p, q))} leaves the property domain"))
 
     def disjointness_family(rel: FrozenSet[Pair], sub: FrozenSet[Pair], dom: FrozenSet[Element], label: str) -> None:
-        rel_set = rel
-        for c, d in rel_set:
-            if (d, c) not in rel_set:
+        for c, d in rel:
+            if (d, c) not in rel:
                 out.append(Violation(f"{label}.Symmetry", f"{_fmt_pair((c, d))} without {_fmt_pair((d, c))}"))
-        for c, d in rel_set:
-            for e, c2 in sub:
-                if c2 == c and (e, d) not in rel_set:
+        # below[c] lists the e with (e, c) in sub, in sub's iteration order.
+        below: Dict[Element, List[Element]] = {}
+        for e, c in sub:
+            below.setdefault(c, []).append(e)
+        for c, d in rel:
+            for e in below.get(c, ()):
+                if (e, d) not in rel:
                     out.append(Violation(f"{label}.Sub-Transitivity", f"{_fmt(e)} below {_fmt(c)} but {_fmt_pair((e, d))} missing"))
-        for c, d in rel_set:
+        for c, d in rel:
             if c != d:
                 continue
             for e in dom - vocab_els:
-                if (c, e) not in rel_set:
+                if (c, e) not in rel:
                     out.append(Violation(f"{label}.Exhaustive", f"self-disjoint {_fmt(c)} is not disjoint from {_fmt(e)}"))
 
     disjointness_family(botc_p, sc_p, i.delta_c, "Disjointness I.3")

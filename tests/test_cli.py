@@ -190,6 +190,24 @@ class TestDiagnostics:
         assert "Traceback (most recent call last)" in captured.err
         assert "RuntimeError: broken on purpose" in captured.err
 
+    def test_internal_value_error_is_not_a_usage_error(self, capsys, monkeypatch):
+        def broken(args, cfg):
+            raise ValueError("broken on purpose")
+
+        monkeypatch.setattr(cli, "cmd_close", broken)
+        assert main(["close", MEDICAL]) == 5
+        err = capsys.readouterr().err
+        assert "Traceback (most recent call last)" in err
+        assert "ValueError: broken on purpose" in err
+
+    def test_undecodable_input_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.rnt"
+        path.write_bytes("caf\u00e9 type drink .\n".encode("latin-1"))
+        assert main(["close", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_unknown_subcommand_is_a_usage_error(self, capsys):
         assert main(["frobnicate"]) == 2
         capsys.readouterr()

@@ -1,5 +1,7 @@
 """Entailment, blank-node search and proof extraction tests."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -20,8 +22,13 @@ from rhodf import (
     find_map,
     instantiate,
     parse_graph,
+    canonical_model,
     random_graph,
+    try_triple,
 )
+from rhodf.entailment import _match_candidates, _unify, solve
+from rhodf.reasoner import TripleIndex
+from rhodf.semantics import _holding_assignments, _take
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
@@ -145,6 +152,131 @@ class TestFindMap:
         h = Graph([Triple(X, E, Y), Triple(Y, E, X)])
         with pytest.raises(SearchBudgetExceeded):
             entails(g, h, budget=1)
+
+
+def rescanning_solve(patterns, candidates, bind):
+    """The search as it was before candidate lists were kept: every
+    remaining pattern is listed again at every step.  Returns the
+    bindings (or None) and the number of candidates tried."""
+    sigma = {}
+    remaining = list(patterns)
+    stack = []
+    attempts = 0
+    while remaining:
+        best_i, best_c = 0, candidates(remaining[0], sigma)
+        for i in range(1, len(remaining)):
+            if not best_c:
+                break
+            c = candidates(remaining[i], sigma)
+            if len(c) < len(best_c):
+                best_i, best_c = i, c
+        stack.append([best_i, remaining.pop(best_i), iter(best_c), ()])
+        while True:
+            if not stack:
+                return None, attempts
+            top = stack[-1]
+            for k in top[3]:
+                del sigma[k]
+            new = None
+            for cand in top[2]:
+                attempts += 1
+                new = bind(top[1], cand, sigma)
+                if new is not None:
+                    break
+            if new is not None:
+                sigma.update(new)
+                top[3] = tuple(new)
+                break
+            stack.pop()
+            remaining.insert(top[0], top[1])
+    return sigma, attempts
+
+
+def criterion_9_cases():
+    """The 100 (query, target) pairs of acceptance criterion 9."""
+    pool = [Blank(f"q{i}") for i in range(1, 5)]
+    for seed in range(100):
+        rng = random.Random(seed)
+        target = random_graph(seed=seed, max_triples=10)
+        source = random_graph(seed=seed + 1000) if seed % 3 == 0 else target
+        picked = rng.sample(list(source), min(len(source), rng.randint(1, 3)))
+        pattern = []
+        for t in picked:
+            s = rng.choice(pool) if rng.random() < 0.5 else t.s
+            o = rng.choice(pool) if rng.random() < 0.5 else t.o
+            abstracted = try_triple(s, t.p, o)
+            if abstracted is not None:
+                pattern.append(abstracted)
+        yield Graph(pattern), target
+
+
+def existential_cases():
+    """Open triples of random queries against canonical models, with the
+    lister ``check_model`` gives the search."""
+    pool = [Blank(f"q{k}") for k in range(1, 4)]
+    for seed in range(40):
+        rng = random.Random(seed)
+        g = random_graph(seed=seed, max_triples=6, max_terms=5)
+        m = canonical_model(g)
+        triples = list(closure(g).closure)
+        query = []
+        for _ in range(rng.randint(1, 4)):
+            t = rng.choice(triples)
+            s = rng.choice(pool) if rng.random() < 0.6 else t.s
+            o = rng.choice(pool) if rng.random() < 0.6 else t.o
+            t = try_triple(s, t.p, o)
+            if t is not None and all(x in m.denote for x in (t.s, t.p, t.o) if x not in pool):
+                query.append(t)
+        free = set(Graph(query).blanks)
+        open_triples = [t for t in Graph(query) if {t.s, t.o} & free]
+        if open_triples:
+            yield open_triples, _holding_assignments(m, free)
+
+
+class TestSolve:
+    def test_chain_query_lists_candidates_a_constant_number_of_times_per_pattern(self):
+        n = 1500
+        target = Graph(Triple(Iri(f"n{i}"), E, Iri(f"n{i + 1}")) for i in range(n))
+        query = [Triple(Blank(f"x{i}"), E, Blank(f"x{i + 1}")) for i in range(n)]
+        lister = _match_candidates(target, TripleIndex(target))
+        calls = 0
+
+        def counting(t, sigma):
+            nonlocal calls
+            calls += 1
+            return lister(t, sigma)
+
+        sigma = solve(query, counting, _unify)
+        assert sigma[Blank(f"x{n}")] == Iri(f"n{n}")
+        assert calls < 10 * n
+
+    def assert_same_search(self, patterns, candidates, bind):
+        expected, attempts = rescanning_solve(patterns, candidates, bind)
+        assert solve(patterns, candidates, bind, budget=attempts) == expected
+        if attempts:
+            with pytest.raises(SearchBudgetExceeded):
+                solve(patterns, candidates, bind, budget=attempts - 1)
+
+    def test_witness_search_matches_the_rescanning_search(self):
+        for h, target in criterion_9_cases():
+            self.assert_same_search(list(h), _match_candidates(target, TripleIndex(target)), _unify)
+
+    def test_backtracking_search_matches_the_rescanning_search(self):
+        # Sparse random digraphs against patterns over few blanks: most
+        # placements fail late, so stale candidate lists would show.
+        nodes = [Iri(f"n{k}") for k in range(6)]
+        blanks = [Blank(f"v{k}") for k in range(4)]
+        for seed in range(100):
+            rng = random.Random(seed)
+            target = Graph(Triple(rng.choice(nodes), E, rng.choice(nodes)) for _ in range(rng.randint(4, 12)))
+            h = Graph(Triple(rng.choice(blanks), E, rng.choice(blanks)) for _ in range(rng.randint(2, 6)))
+            self.assert_same_search(list(h), _match_candidates(target, TripleIndex(target)), _unify)
+
+    def test_existential_search_matches_the_rescanning_search(self):
+        cases = list(existential_cases())
+        assert len(cases) > 20
+        for open_triples, lister in cases:
+            self.assert_same_search(open_triples, lister, _take)
 
 
 class TestExtractProof:

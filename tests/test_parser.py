@@ -96,6 +96,15 @@ class TestGraphParsing:
         assert errors and errors[0].kind == "validation"
         assert "star" in errors[0].message
 
+    def test_every_violated_condition_is_reported_in_order(self):
+        _, errors = parse_graph_lenient("type sp *a .\n*a sc *b .")
+        assert [(e.span.line, e.message) for e in errors] == [
+            (1, "reserved vocabulary cannot be a subject or object"),
+            (1, "reserved predicates take no star subject or object"),
+            (2, "subject and object cannot both be star terms"),
+            (2, "reserved predicates take no star subject or object"),
+        ]
+
     def test_empty_document(self):
         assert len(parse_graph("")) == 0
         assert serialize_graph(Graph()) == ""

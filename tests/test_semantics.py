@@ -16,6 +16,7 @@ from rhodf import (
     Literal,
     Neg,
     RuleId,
+    Star,
     Triple,
     canonical_model,
     check_model,
@@ -27,7 +28,7 @@ from rhodf import (
     serialize_interpretation,
     try_triple,
 )
-from rhodf.semantics import _simple_violations
+from rhodf.semantics import _fmt, _fmt_pair, _simple_violations
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
@@ -244,6 +245,76 @@ class TestCountermodels:
         report = check_model(load_interpretation(fixture), Graph())
         labels = {v.condition for v in report.violations}
         assert "Subclass.3" not in labels
+
+
+class TestCanonicalModelIsACountermodel:
+    """The canonical model falsifies what the closure does not derive.
+
+    Only star-free, blank-free triples are asked about: ``a p *c`` holds
+    vacuously in the canonical model when ``c`` has no members, whether
+    or not the closure derives it.
+    """
+
+    def test_ground_triples_outside_the_closure_are_false(self):
+        checked = 0
+        for seed in range(60):
+            g = random_graph(seed=seed, max_triples=10, max_terms=6, salt_contradiction=seed % 3 == 0)
+            cl = closure(g).closure
+            m = canonical_model(g)
+            nodes = sorted({x for t in cl for x in (t.s, t.o) if not isinstance(x, (Star, Blank))}, key=repr)
+            preds = sorted({t.p for t in cl}, key=repr)
+            for s, p, o in itertools.product(nodes, preds, nodes):
+                t = try_triple(s, p, o)
+                if t is None or t in cl:
+                    continue
+                report = check_model(m, Graph([t]))
+                assert [v.condition for v in report.violations] == ["Simple.1"], (seed, t)
+                checked += 1
+        assert checked > 10_000
+
+
+class TestDisjointnessScan:
+    """Sub-Transitivity, indexed by the object of ``sub``, against the
+    double loop over every (disjointness pair, sub pair) it replaced."""
+
+    @staticmethod
+    def double_loop(rel, sub, label):
+        out = []
+        for c, d in rel:
+            for e, c2 in sub:
+                if c2 == c and (e, d) not in rel:
+                    out.append(f"{label}.Sub-Transitivity: {_fmt(e)} below {_fmt(c)} but {_fmt_pair((e, d))} missing")
+        return out
+
+    @staticmethod
+    def fixture(rng):
+        lines = []
+        for kind, sub, rel in (("C", "sc", "cdisj"), ("P", "sp", "pdisj")):
+            names = [f"{kind.lower()}{k}" for k in range(rng.randint(2, 7))]
+            lines += [f"{kind} {x}" for x in names]
+            # A chain with some links and some shortcuts left out.
+            for k, a in enumerate(names):
+                for b in names[k + 1 :]:
+                    if rng.random() < 0.6:
+                        lines.append(f"P+ {sub} {a} {b}")
+            # Disjointness pairs, each mirrored or not.
+            for _ in range(rng.randint(0, 5)):
+                a, b = rng.choice(names), rng.choice(names)
+                lines.append(f"P+ {rel} {a} {b}")
+                if rng.random() < 0.5:
+                    lines.append(f"P+ {rel} {b} {a}")
+        return load_interpretation("\n".join(lines) + "\n")
+
+    def test_indexed_scan_matches_the_double_loop(self):
+        found = {"Disjointness I.3": 0, "Disjointness I.4": 0}
+        for seed in range(80):
+            i = self.fixture(random.Random(seed))
+            report = check_model(i, Graph())
+            for label, sub, rel in (("Disjointness I.3", "sc", "cdisj"), ("Disjointness I.4", "sp", "pdisj")):
+                got = [str(v) for v in report.violations if v.condition == f"{label}.Sub-Transitivity"]
+                assert got == self.double_loop(i.pos_pairs(rel), i.pos_pairs(sub), label), seed
+                found[label] += len(got)
+        assert all(n > 20 for n in found.values()), found
 
 
 class TestInterpretationFixtures:
