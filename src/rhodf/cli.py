@@ -2,7 +2,8 @@
 
 Subcommands: ``close`` materializes a closure, ``entail`` decides a
 judgment, ``model`` prints the canonical interpretation, ``gen`` emits
-a benchmark family, ``stats`` summarizes a closure run.
+a benchmark family, ``stats`` summarizes a closure run (``--json``
+prints all its counters as one JSON object).
 
 Exit codes: 0 success (and "holds" for entail), 1 judgment does not
 hold, 2 parse or usage error or an unreadable input file, 3 closure cap
@@ -20,7 +21,7 @@ import argparse
 import os
 import sys
 import traceback
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import List, Optional
 
 from .core import Graph
@@ -189,6 +190,11 @@ def cmd_gen(args: argparse.Namespace, cfg: Config) -> int:
 def cmd_stats(args: argparse.Namespace, cfg: Config) -> int:
     g = _load_graph(args.graph)
     result = closure(g, cfg.mode, cap=cfg.triple_cap)
+    if args.json:
+        import json
+
+        _write(cfg, json.dumps(asdict(result.stats)) + "\n")
+        return EXIT_OK
     lines = [
         f"input triples: {len(g)}",
         f"closure triples: {len(result.closure)}",
@@ -249,6 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_stats = sub.add_parser("stats", help="closure size and rule fire counts")
     p_stats.add_argument("graph", help="graph file, - for stdin")
+    p_stats.add_argument("--json", action="store_true", help="print the closure stats as one JSON object")
     common(p_stats)
     p_stats.set_defaults(func=cmd_stats)
     return parser

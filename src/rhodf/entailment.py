@@ -11,19 +11,20 @@ the bindings made so far, keeps its choices on an explicit stack, and
 counts every candidate it tries against an optional budget; exceeding
 the budget raises :class:`SearchBudgetExceeded` so callers can tell
 "gave up" apart from "does not hold".  :func:`find_map` feeds it the
-closure triples a query triple can match, read from the same
-:class:`~rhodf.reasoner.TripleIndex` the closure engine uses; the model
-checker in :mod:`rhodf.semantics` feeds it the blank assignments under
-which a triple holds in an interpretation.
+closure triples a query triple can match, as id triples read from a
+:class:`~rhodf.reasoner.TripleIndex` like the closure engine's; the
+model checker in :mod:`rhodf.semantics` feeds it the blank assignments
+under which a triple holds in an interpretation.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple, TypeVar
 
 from .core import Blank, Graph, Triple, VariableMap, apply_map, try_triple
-from .reasoner import ClosureResult, ProofStep, RuleId, TripleIndex, closure
+from .reasoner import ClosureResult, IdTriple, ProofStep, RuleId, TermTable, TripleIndex, closure
 
 C = TypeVar("C")
 Bindings = Dict[Blank, Hashable]
@@ -54,12 +55,11 @@ class EntailmentReport:
 
 
 class _Choice:
-    """One placed pattern: where it sat, and the candidates left to try."""
+    """One placed pattern and the candidates left to try."""
 
-    __slots__ = ("index", "pattern", "candidates", "bound")
+    __slots__ = ("pattern", "candidates", "bound")
 
-    def __init__(self, index: int, pattern: int, candidates) -> None:
-        self.index = index
+    def __init__(self, pattern: int, candidates) -> None:
         self.pattern = pattern
         self.candidates = iter(candidates)
         self.bound: Tuple[Blank, ...] = ()
@@ -85,11 +85,17 @@ def solve(
     A pattern's candidates may depend on ``sigma`` only through the
     bindings of the pattern's own blanks, its blank subject and object.
     The search relies on this: it lists a pattern again only after one
-    of those blanks was bound or unbound, so each placement costs a
-    constant number of listings rather than one per remaining pattern.
+    of those blanks was bound or unbound, and keeps the unplaced
+    patterns in a heap keyed by (candidate count, position), where an
+    entry that no longer matches its pattern's list is skipped.  So
+    each placement costs a constant number of listings and heap
+    operations rather than a scan of the remaining patterns.
     """
     sigma: Bindings = {}
     listed: List[Optional[Sequence[C]]] = [None] * len(patterns)
+    placed = [False] * len(patterns)
+    stale = list(range(len(patterns)))
+    heap: List[Tuple[int, int]] = []
     users: Dict[Blank, List[int]] = {}
     for n, pattern in enumerate(patterns):
         for x in dict.fromkeys((pattern.s, pattern.o)):
@@ -100,21 +106,28 @@ def solve(
         for k in keys:
             for n in users.get(k, ()):
                 listed[n] = None
+                stale.append(n)
 
-    remaining = list(range(len(patterns)))
+    left = len(patterns)
     stack: List[_Choice] = []
     attempts = 0
-    while remaining:
-        best_i, best_c = 0, None
-        for i, n in enumerate(remaining):
-            c = listed[n]
-            if c is None:
-                c = listed[n] = candidates(patterns[n], sigma)
-            if best_c is None or len(c) < len(best_c):
-                best_i, best_c = i, c
-                if not c:
-                    break
-        stack.append(_Choice(best_i, remaining.pop(best_i), best_c))
+    while left:
+        for n in stale:
+            if not placed[n]:
+                if listed[n] is None:
+                    listed[n] = candidates(patterns[n], sigma)
+                heapq.heappush(heap, (len(listed[n]), n))
+        stale.clear()
+        if len(heap) > 2 * len(patterns):  # skipped entries pile up; rebuild
+            heap = [(len(c), n) for n, c in enumerate(listed) if not placed[n]]
+            heapq.heapify(heap)
+        while True:
+            size, n = heapq.heappop(heap)
+            if not placed[n] and len(listed[n]) == size:
+                break
+        placed[n] = True
+        left -= 1
+        stack.append(_Choice(n, listed[n]))
         # Move the newest choice to its next candidate that fits; when
         # it has none left, put its pattern back and move the one before.
         while True:
@@ -138,46 +151,52 @@ def solve(
                 forget(top.bound)
                 break
             stack.pop()
-            remaining.insert(top.index, top.pattern)
+            placed[top.pattern] = False
+            stale.append(top.pattern)
+            left += 1
     return sigma
 
 
-def _match_candidates(target: Graph, ix: TripleIndex):
-    """Candidate lister for :func:`solve`: the triples of ``target`` that
-    a query triple can match under the bindings made so far.  Every
-    blank of the query is a variable."""
+def _match_candidates(target: Graph) -> Tuple[Callable, Callable]:
+    """Candidate lister and binder for :func:`solve`: the lister gives
+    the triples of ``target`` a query triple can match under the bindings
+    so far, as id triples of a :class:`~rhodf.reasoner.TripleIndex`, and
+    the binder binds the query's blanks to the terms of one of them."""
+    table = TermTable()
+    ix = TripleIndex(table, map(table.encode, target))
+    ids, terms = table.ids, table.terms
 
-    def candidates(t: Triple, sigma: Bindings) -> Sequence[Triple]:
+    def candidates(t: Triple, sigma: Bindings) -> Sequence[IdTriple]:
         s = sigma.get(t.s) if isinstance(t.s, Blank) else t.s
         o = sigma.get(t.o) if isinstance(t.o, Blank) else t.o
+        p = ids.get(t.p)
         if s is not None and o is not None:
             key = try_triple(s, t.p, o)
-            return (key,) if key is not None and key in target else ()
+            return ((ids[s], p, ids[o]),) if key is not None and key in target else ()
         if s is not None:
-            return ix.by_sp.get((s, t.p), ())
+            return ix.by_sp.get((ids.get(s), p), ())
         if o is not None:
-            return ix.by_po.get((t.p, o), ())
-        return ix.by_pred.get(t.p, ())
+            return ix.by_po.get((p, ids.get(o)), ())
+        return ix.by_pred.get(p, ())
 
-    return candidates
-
-
-def _unify(pattern: Triple, cand: Triple, sigma: Bindings) -> Optional[Bindings]:
-    new: Bindings = {}
-    for pt, ct in ((pattern.s, cand.s), (pattern.o, cand.o)):
-        if isinstance(pt, Blank):
-            cur = sigma.get(pt, new.get(pt))
-            if cur is None:
-                new[pt] = ct
-            elif cur != ct:
+    def unify(pattern: Triple, cand: IdTriple, sigma: Bindings) -> Optional[Bindings]:
+        new: Bindings = {}
+        for pt, ct in ((pattern.s, terms[cand[0]]), (pattern.o, terms[cand[2]])):
+            if isinstance(pt, Blank):
+                cur = sigma.get(pt, new.get(pt))
+                if cur is None:
+                    new[pt] = ct
+                elif cur != ct:
+                    return None
+            elif pt != ct:
                 return None
-        elif pt != ct:
-            return None
-    return new
+        return new
+
+    return candidates, unify
 
 
-def _search(h: Graph, candidates, budget: Optional[int]) -> Optional[VariableMap]:
-    sigma = solve(list(h), candidates, _unify, budget)
+def _search(h: Graph, matcher: Tuple[Callable, Callable], budget: Optional[int]) -> Optional[VariableMap]:
+    sigma = solve(list(h), *matcher, budget)
     if sigma is None:
         return None
     return VariableMap.of({v: sigma[v] for v in h.blanks})
@@ -190,7 +209,7 @@ def find_map(h: Graph, target: Graph, budget: Optional[int] = None) -> Optional[
     exhaustive; with ``budget`` set it raises
     :class:`SearchBudgetExceeded` after that many candidate attempts.
     """
-    return _search(h, _match_candidates(target, TripleIndex(target)), budget)
+    return _search(h, _match_candidates(target), budget)
 
 
 def extract_proof(h: Graph, mu: VariableMap, result: ClosureResult) -> Tuple[ProofStep, ...]:
@@ -268,10 +287,10 @@ def entails(
         mu = VariableMap.identity()
         proof = extract_proof(h, mu, result) if with_proof else None
         return EntailmentReport(holds=True, proof=proof)
-    candidates = _match_candidates(cl, TripleIndex(cl))
-    mu = _search(h, candidates, budget)
+    matcher = _match_candidates(cl)
+    mu = _search(h, matcher, budget)
     if mu is None:
-        missing = tuple(t for t in h if not candidates(t, {}))
+        missing = tuple(t for t in h if not matcher[0](t, {}))
         return EntailmentReport(holds=False, missing=missing)
     proof = extract_proof(h, mu, result) if with_proof else None
     return EntailmentReport(holds=True, map=mu, proof=proof)

@@ -367,8 +367,9 @@ def serialize_triple(t: Triple) -> str:
 
 
 def serialize_graph(g: Graph) -> str:
-    """Render one statement per line, sorted by the serialized terms."""
-    keys = sorted(
-        (serialize_term(t.s), serialize_term(t.p), serialize_term(t.o)) for t in g
-    )
-    return "".join(f"{s} {p} {o} .\n" for s, p, o in keys)
+    """Render one statement per line, sorted by the serialized terms.
+
+    Sorting whole lines gives that order: a serialized term that is a
+    proper prefix of another is a bare name or blank label, whose next
+    character sorts after the space that ends the shorter one."""
+    return "".join(sorted(f"{serialize_triple(t)}\n" for t in g))

@@ -19,48 +19,24 @@ only matches instantiations touching triples derived in the previous
 round, rules fire in ascending :class:`RuleId` order, and triples keep
 first-insertion order.  The first derivation of every new triple is
 recorded for proof extraction.
+
+Rules join over integers.  A :class:`TermTable` gives every term a dense
+id and answers, per id, what the rules ask of a term: its complement,
+its star, a star's subscript and the validity flags.  The index, the
+rounds' deltas and the matchers hold ``(s, p, o)`` id tuples, and a
+candidate is deduplicated and validated as such.  A :class:`Triple`
+and its :class:`ProofStep` are built only for a candidate that passes
+both, so once per closure triple.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import (
-    Callable,
-    Dict,
-    FrozenSet,
-    Iterable,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .core import (
-    BOTC,
-    BOTP,
-    DOM,
-    RANGE,
-    SC,
-    SP,
-    TYPE,
-    RESERVED_VOCAB,
-    Graph,
-    Iri,
-    Neg,
-    Star,
-    Term,
-    Triple,
-    VariableMap,
-    is_reserved,
-    negate,
-    try_negate,
-    try_triple,
-)
+from .core import BOTC, BOTP, DOM, RANGE, SC, SP, TYPE, Graph, Iri, Neg, Star, Term, Triple, VariableMap, try_negate
 
 
 class RuleId(Enum):
@@ -157,11 +133,17 @@ class Domains:
 
 @dataclass(frozen=True)
 class ClosureStats:
+    """Counters of one closure run: ``round_deltas`` are the new triples
+    of each round, ``rule_candidates`` the instantiations each rule
+    listed, and ``rule_fire_counts`` those that added a triple."""
+
     iterations: int
     rule_fire_counts: Mapping[str, int]
     input_size: int
     output_size: int
     elapsed_s: float
+    round_deltas: Tuple[int, ...]
+    rule_candidates: Mapping[str, int]
 
 
 @dataclass(frozen=True)
@@ -193,50 +175,117 @@ def default_cap(input_size: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Term ids
+# ---------------------------------------------------------------------------
+
+IdTriple = Tuple[int, int, int]
+
+# The reserved names take the first seven ids, so ``x < 7`` tests
+# whether a term is reserved.
+_SP, _SC, _TYPE, _DOM, _RANGE, _BOTC, _BOTP = range(7)
+
+
+class TermTable:
+    """Dense integer ids for terms, assigned on first sight.
+
+    Per id: ``neg`` is the complement (:func:`~rhodf.core.try_negate`),
+    ``fresh`` the complement of a plain resource only, ``star`` the star
+    term over it, ``sub`` a star's subscript (each an id, or -1 where
+    there is none) and ``pred`` whether it is an IRI or a negated IRI.
+    Interning a term interns its complement and its star too, so these
+    lists answer every rule without building a term.
+    """
+
+    __slots__ = ("ids", "terms", "neg", "fresh", "star", "sub", "pred")
+
+    def __init__(self) -> None:
+        self.ids: Dict[Term, int] = {}
+        self.terms: List[Term] = []
+        self.neg: List[int] = []
+        self.fresh: List[int] = []
+        self.star: List[int] = []
+        self.sub: List[int] = []
+        self.pred: List[bool] = []
+        for t in (SP, SC, TYPE, DOM, RANGE, BOTC, BOTP):
+            self.intern(t)
+
+    def intern(self, t: Term) -> int:
+        i = self.ids.get(t)
+        if i is not None:
+            return i
+        i = self.ids[t] = len(self.terms)
+        self.terms.append(t)
+        for column in (self.neg, self.fresh, self.star, self.sub):
+            column.append(-1)
+        self.pred.append(isinstance(t, (Iri, Neg)))
+        if isinstance(t, Star):
+            self.sub[i] = self.intern(t.cls)
+        elif (mate := try_negate(t)) is not None:
+            self.neg[i] = self.intern(mate)
+            if isinstance(t, Iri):
+                self.fresh[i] = self.neg[i]
+            self.star[i] = self.intern(Star(t))
+        return i
+
+    def encode(self, t: Triple) -> IdTriple:
+        return (self.intern(t.s), self.intern(t.p), self.intern(t.o))
+
+    def valid(self, s: int, p: int, o: int) -> bool:
+        """The four conditions of :func:`~rhodf.core.validate_triple`."""
+        stars = (self.sub[s] >= 0) + (self.sub[o] >= 0)
+        return s > 6 and o > 6 and self.pred[p] and (stars == 0 or (stars == 1 and p > 6))
+
+
+# ---------------------------------------------------------------------------
 # Domain recognition
 # ---------------------------------------------------------------------------
 
 
 class _DomainTracker:
-    """Accumulates class/property terms triple by triple.
+    """Accumulates class/property term ids triple by triple.
 
     Both sets are kept closed under single negation as they grow.
     """
 
-    __slots__ = ("class_terms", "property_terms")
+    __slots__ = ("table", "class_terms", "property_terms")
 
-    def __init__(self) -> None:
-        self.class_terms: Set[Term] = set()
-        self.property_terms: Set[Term] = set(RESERVED_VOCAB)
+    def __init__(self, table: TermTable) -> None:
+        self.table = table
+        self.class_terms: Set[int] = set()
+        self.property_terms: Set[int] = set(range(7))
 
-    def _add(self, bucket: Set[Term], t: Term) -> None:
-        bucket.add(t)
-        mate = try_negate(t)
-        if mate is not None:
+    def _add(self, bucket: Set[int], x: int) -> None:
+        bucket.add(x)
+        mate = self.table.neg[x]
+        if mate >= 0:
             bucket.add(mate)
 
-    def add_triple(self, t: Triple) -> None:
-        self._add(self.property_terms, t.p)
-        p = t.p
-        if p == SP:
-            self._add(self.property_terms, t.s)
-            self._add(self.property_terms, t.o)
-        elif p == SC:
-            self._add(self.class_terms, t.s)
-            self._add(self.class_terms, t.o)
-        elif p == TYPE:
-            self._add(self.class_terms, t.o)
-        elif p in (DOM, RANGE):
-            self._add(self.property_terms, t.s)
-            self._add(self.class_terms, t.o)
-        elif p == BOTC:
-            self._add(self.class_terms, t.s)
-            self._add(self.class_terms, t.o)
-        elif p == BOTP:
-            self._add(self.property_terms, t.s)
-        for x in (t.s, t.o):
-            if isinstance(x, Star):
-                self._add(self.class_terms, x.cls)
+    def add_triple(self, t: IdTriple) -> None:
+        s, p, o = t
+        self._add(self.property_terms, p)
+        if p == _SP:
+            self._add(self.property_terms, s)
+            self._add(self.property_terms, o)
+        elif p in (_SC, _BOTC):
+            self._add(self.class_terms, s)
+            self._add(self.class_terms, o)
+        elif p == _TYPE:
+            self._add(self.class_terms, o)
+        elif p in (_DOM, _RANGE):
+            self._add(self.property_terms, s)
+            self._add(self.class_terms, o)
+        elif p == _BOTP:
+            self._add(self.property_terms, s)
+        for x in (s, o):
+            if self.table.sub[x] >= 0:
+                self._add(self.class_terms, self.table.sub[x])
+
+    def terms(self, bucket: Set[int]) -> FrozenSet[Term]:
+        return frozenset(self.table.terms[x] for x in bucket)
+
+    def ordered(self, bucket: Set[int]) -> List[int]:
+        """The ids of ``bucket`` in the order of their terms' reprs."""
+        return sorted(bucket, key=lambda x: repr(self.table.terms[x]))
 
 
 def recognize_domains(g: Graph) -> Domains:
@@ -248,10 +297,11 @@ def recognize_domains(g: Graph) -> Domains:
     subjects and objects of ``sc``/``cdisj``, and star subscripts.  Both
     sets are closed under single negation.
     """
-    tracker = _DomainTracker()
+    table = TermTable()
+    tracker = _DomainTracker(table)
     for t in g:
-        tracker.add_triple(t)
-    return Domains(frozenset(tracker.class_terms), frozenset(tracker.property_terms))
+        tracker.add_triple(table.encode(t))
+    return Domains(tracker.terms(tracker.class_terms), tracker.terms(tracker.property_terms))
 
 
 # ---------------------------------------------------------------------------
@@ -260,17 +310,20 @@ def recognize_domains(g: Graph) -> Domains:
 
 
 class TripleIndex:
-    """A triple set in insertion order, keyed by predicate and by pair.
+    """``(s, p, o)`` id triples of one :class:`TermTable`, in insertion
+    order, keyed by predicate and by pair.
 
     ``by_pred[p]``, ``by_sp[(s, p)]`` and ``by_po[(p, o)]`` list the
-    matching triples in insertion order, so ``by_sp[(x, SP)]`` are the
-    subproperty statements of ``x`` and ``by_po[(TYPE, c)]`` the typings
-    into ``c``.  Triples with a star object or subject are also kept by
-    the star's subscript class and by predicate, for the star rules.
-    The closure engine and the witness search share this class.
+    matching id triples in insertion order, so ``by_sp[(x, _SP)]`` are
+    the subproperty statements of ``x`` and ``by_po[(_TYPE, c)]`` the
+    typings into ``c``.  Triples with a star object or subject are also
+    kept by the star's subscript and by predicate, for the star rules.
+    The closure engine and the witness search share this class; neither
+    keeps a :class:`Triple` in it.
     """
 
     __slots__ = (
+        "table",
         "all",
         "by_pred",
         "by_sp",
@@ -283,33 +336,36 @@ class TripleIndex:
         "star_subj_by_pred",
     )
 
-    def __init__(self, triples: Iterable[Triple] = ()):
-        self.all: List[Triple] = []
-        self.by_pred: Dict[Term, List[Triple]] = {}
-        self.by_sp: Dict[Tuple[Term, Term], List[Triple]] = {}
-        self.by_po: Dict[Tuple[Term, Term], List[Triple]] = {}
-        self.star_obj: List[Triple] = []
-        self.star_obj_by_sub: Dict[Term, List[Triple]] = {}
-        self.star_obj_by_pred: Dict[Term, List[Triple]] = {}
-        self.star_subj: List[Triple] = []
-        self.star_subj_by_sub: Dict[Term, List[Triple]] = {}
-        self.star_subj_by_pred: Dict[Term, List[Triple]] = {}
+    def __init__(self, table: TermTable, triples: Iterable[IdTriple] = ()):
+        self.table = table
+        self.all: List[IdTriple] = []
+        self.by_pred: Dict[int, List[IdTriple]] = {}
+        self.by_sp: Dict[Tuple[int, int], List[IdTriple]] = {}
+        self.by_po: Dict[Tuple[int, int], List[IdTriple]] = {}
+        self.star_obj: List[IdTriple] = []
+        self.star_obj_by_sub: Dict[int, List[IdTriple]] = {}
+        self.star_obj_by_pred: Dict[int, List[IdTriple]] = {}
+        self.star_subj: List[IdTriple] = []
+        self.star_subj_by_sub: Dict[int, List[IdTriple]] = {}
+        self.star_subj_by_pred: Dict[int, List[IdTriple]] = {}
         for t in triples:
             self.add(t)
 
-    def add(self, t: Triple) -> None:
+    def add(self, t: IdTriple) -> None:
+        s, p, o = t
+        sub = self.table.sub
         self.all.append(t)
-        self.by_pred.setdefault(t.p, []).append(t)
-        self.by_sp.setdefault((t.s, t.p), []).append(t)
-        self.by_po.setdefault((t.p, t.o), []).append(t)
-        if isinstance(t.o, Star):
+        self.by_pred.setdefault(p, []).append(t)
+        self.by_sp.setdefault((s, p), []).append(t)
+        self.by_po.setdefault((p, o), []).append(t)
+        if sub[o] >= 0:
             self.star_obj.append(t)
-            self.star_obj_by_sub.setdefault(t.o.cls, []).append(t)
-            self.star_obj_by_pred.setdefault(t.p, []).append(t)
-        if isinstance(t.s, Star):
+            self.star_obj_by_sub.setdefault(sub[o], []).append(t)
+            self.star_obj_by_pred.setdefault(p, []).append(t)
+        if sub[s] >= 0:
             self.star_subj.append(t)
-            self.star_subj_by_sub.setdefault(t.s.cls, []).append(t)
-            self.star_subj_by_pred.setdefault(t.p, []).append(t)
+            self.star_subj_by_sub.setdefault(sub[s], []).append(t)
+            self.star_subj_by_pred.setdefault(p, []).append(t)
 
 
 class _Delta:
@@ -320,421 +376,415 @@ class _Delta:
 
     __slots__ = ("all", "by_pred", "star_obj", "star_subj")
 
-    def __init__(self, triples: List[Triple]):
+    def __init__(self, triples: List[IdTriple], table: TermTable):
         self.all = triples
-        self.by_pred: Dict[Term, List[Triple]] = {}
-        self.star_obj: List[Triple] = []
-        self.star_subj: List[Triple] = []
+        self.by_pred: Dict[int, List[IdTriple]] = {}
+        self.star_obj: List[IdTriple] = []
+        self.star_subj: List[IdTriple] = []
         for t in triples:
-            self.by_pred.setdefault(t.p, []).append(t)
-            if isinstance(t.o, Star):
+            self.by_pred.setdefault(t[1], []).append(t)
+            if table.sub[t[2]] >= 0:
                 self.star_obj.append(t)
-            if isinstance(t.s, Star):
+            if table.sub[t[0]] >= 0:
                 self.star_subj.append(t)
-
-
-def _try_star(t: Term) -> Optional[Star]:
-    if isinstance(t, Neg):
-        return Star(t)
-    if isinstance(t, Iri) and not is_reserved(t):
-        return Star(t)
-    return None
-
-
-def _neg_fresh(t: Term) -> Optional[Neg]:
-    # Negation-introducing rules only manufacture complements of plain
-    # resources; a term that is already negated never collapses here.
-    if isinstance(t, Iri) and not is_reserved(t):
-        return Neg(t)
-    return None
 
 
 # ---------------------------------------------------------------------------
 # Rule matchers
 # ---------------------------------------------------------------------------
 
-# Each matcher yields (premises, s, p, o) for every instantiation with at
-# least one premise in the delta index `dx`; the full state is in `ix`.
-# Candidates are validated and deduplicated by the caller, so overlapping
-# enumeration when dx == ix is harmless.
+# Each matcher yields (premises, (s, p, o)) in ids for every
+# instantiation with at least one premise in the delta index `dx`; the
+# full state is in `ix`.  Candidates are validated and deduplicated by
+# the caller, so overlapping enumeration when dx == ix is harmless.
 
-_Candidate = Tuple[Tuple[Triple, ...], Term, Term, Term]
+_Candidate = Tuple[Tuple[IdTriple, ...], IdTriple]
 _Matcher = Callable[[TripleIndex, TripleIndex, "_RoundContext"], Iterator[_Candidate]]
 
 
 @dataclass
 class _RoundContext:
-    """Extra state for the free-variable rules 6c/7c."""
+    """The term table, and extra state for the free-variable rules 6c/7c."""
 
-    class_terms: Sequence[Term] = ()
-    property_terms: Sequence[Term] = ()
-    new_class_terms: Sequence[Term] = ()
-    new_property_terms: Sequence[Term] = ()
-    self_botc_delta: Sequence[Triple] = ()
-    self_botc_old: Sequence[Triple] = ()
-    self_botp_delta: Sequence[Triple] = ()
-    self_botp_old: Sequence[Triple] = ()
+    table: TermTable
+    class_terms: Sequence[int] = ()
+    property_terms: Sequence[int] = ()
+    new_class_terms: Sequence[int] = ()
+    new_property_terms: Sequence[int] = ()
+    self_botc_delta: Sequence[IdTriple] = ()
+    self_botc_old: Sequence[IdTriple] = ()
+    self_botp_delta: Sequence[IdTriple] = ()
+    self_botp_old: Sequence[IdTriple] = ()
 
 
 def _m_2a(ix, dx, ctx):
-    for t1 in dx.by_pred.get(SP, ()):
-        for t2 in ix.by_sp.get((t1.o, SP), ()):
-            yield (t1, t2), t1.s, SP, t2.o
-    for t2 in dx.by_pred.get(SP, ()):
-        for t1 in ix.by_po.get((SP, t2.s), ()):
-            yield (t1, t2), t1.s, SP, t2.o
+    for t1 in dx.by_pred.get(_SP, ()):
+        for t2 in ix.by_sp.get((t1[2], _SP), ()):
+            yield (t1, t2), (t1[0], _SP, t2[2])
+    for t2 in dx.by_pred.get(_SP, ()):
+        for t1 in ix.by_po.get((_SP, t2[0]), ()):
+            yield (t1, t2), (t1[0], _SP, t2[2])
 
 
 def _m_2b(ix, dx, ctx):
-    for t1 in dx.by_pred.get(SP, ()):
-        for t2 in ix.by_pred.get(t1.s, ()):
-            yield (t1, t2), t2.s, t1.o, t2.o
+    for t1 in dx.by_pred.get(_SP, ()):
+        for t2 in ix.by_pred.get(t1[0], ()):
+            yield (t1, t2), (t2[0], t1[2], t2[2])
     for t2 in dx.all:
-        for t1 in ix.by_sp.get((t2.p, SP), ()):
-            yield (t1, t2), t2.s, t1.o, t2.o
+        for t1 in ix.by_sp.get((t2[1], _SP), ()):
+            yield (t1, t2), (t2[0], t1[2], t2[2])
 
 
 def _m_2c(ix, dx, ctx):
-    for t in dx.by_pred.get(SP, ()):
-        nb, na = _neg_fresh(t.o), _neg_fresh(t.s)
-        if nb is not None and na is not None:
-            yield (t,), nb, SP, na
+    fresh = ctx.table.fresh
+    for t in dx.by_pred.get(_SP, ()):
+        nb, na = fresh[t[2]], fresh[t[0]]
+        if nb >= 0 and na >= 0:
+            yield (t,), (nb, _SP, na)
 
 
 def _m_2d(ix, dx, ctx):
     for t1 in dx.star_obj:
-        for t2 in ix.by_sp.get((t1.p, SP), ()):
-            yield (t1, t2), t1.s, t2.o, t1.o
-    for t2 in dx.by_pred.get(SP, ()):
-        for t1 in ix.star_obj_by_pred.get(t2.s, ()):
-            yield (t1, t2), t1.s, t2.o, t1.o
+        for t2 in ix.by_sp.get((t1[1], _SP), ()):
+            yield (t1, t2), (t1[0], t2[2], t1[2])
+    for t2 in dx.by_pred.get(_SP, ()):
+        for t1 in ix.star_obj_by_pred.get(t2[0], ()):
+            yield (t1, t2), (t1[0], t2[2], t1[2])
 
 
 def _m_2e(ix, dx, ctx):
     for t1 in dx.star_subj:
-        for t2 in ix.by_sp.get((t1.p, SP), ()):
-            yield (t1, t2), t1.s, t2.o, t1.o
-    for t2 in dx.by_pred.get(SP, ()):
-        for t1 in ix.star_subj_by_pred.get(t2.s, ()):
-            yield (t1, t2), t1.s, t2.o, t1.o
+        for t2 in ix.by_sp.get((t1[1], _SP), ()):
+            yield (t1, t2), (t1[0], t2[2], t1[2])
+    for t2 in dx.by_pred.get(_SP, ()):
+        for t1 in ix.star_subj_by_pred.get(t2[0], ()):
+            yield (t1, t2), (t1[0], t2[2], t1[2])
 
 
 def _m_3a(ix, dx, ctx):
-    for t1 in dx.by_pred.get(SC, ()):
-        for t2 in ix.by_sp.get((t1.o, SC), ()):
-            yield (t1, t2), t1.s, SC, t2.o
-    for t2 in dx.by_pred.get(SC, ()):
-        for t1 in ix.by_po.get((SC, t2.s), ()):
-            yield (t1, t2), t1.s, SC, t2.o
+    for t1 in dx.by_pred.get(_SC, ()):
+        for t2 in ix.by_sp.get((t1[2], _SC), ()):
+            yield (t1, t2), (t1[0], _SC, t2[2])
+    for t2 in dx.by_pred.get(_SC, ()):
+        for t1 in ix.by_po.get((_SC, t2[0]), ()):
+            yield (t1, t2), (t1[0], _SC, t2[2])
 
 
 def _m_3b(ix, dx, ctx):
-    for t1 in dx.by_pred.get(SC, ()):
-        for t2 in ix.by_po.get((TYPE, t1.s), ()):
-            yield (t1, t2), t2.s, TYPE, t1.o
-    for t2 in dx.by_pred.get(TYPE, ()):
-        for t1 in ix.by_sp.get((t2.o, SC), ()):
-            yield (t1, t2), t2.s, TYPE, t1.o
+    for t1 in dx.by_pred.get(_SC, ()):
+        for t2 in ix.by_po.get((_TYPE, t1[0]), ()):
+            yield (t1, t2), (t2[0], _TYPE, t1[2])
+    for t2 in dx.by_pred.get(_TYPE, ()):
+        for t1 in ix.by_sp.get((t2[2], _SC), ()):
+            yield (t1, t2), (t2[0], _TYPE, t1[2])
 
 
 def _m_3c(ix, dx, ctx):
-    for t in dx.by_pred.get(SC, ()):
-        nb, na = _neg_fresh(t.o), _neg_fresh(t.s)
-        if nb is not None and na is not None:
-            yield (t,), nb, SC, na
+    fresh = ctx.table.fresh
+    for t in dx.by_pred.get(_SC, ()):
+        nb, na = fresh[t[2]], fresh[t[0]]
+        if nb >= 0 and na >= 0:
+            yield (t,), (nb, _SC, na)
 
 
 def _m_3d(ix, dx, ctx):
+    star, sub = ctx.table.star, ctx.table.sub
     for t1 in dx.star_obj:
-        for t2 in ix.by_po.get((SC, t1.o.cls), ()):
-            st = _try_star(t2.s)
-            if st is not None:
-                yield (t1, t2), t1.s, t1.p, st
-    for t2 in dx.by_pred.get(SC, ()):
-        for t1 in ix.star_obj_by_sub.get(t2.o, ()):
-            st = _try_star(t2.s)
-            if st is not None:
-                yield (t1, t2), t1.s, t1.p, st
+        for t2 in ix.by_po.get((_SC, sub[t1[2]]), ()):
+            st = star[t2[0]]
+            if st >= 0:
+                yield (t1, t2), (t1[0], t1[1], st)
+    for t2 in dx.by_pred.get(_SC, ()):
+        for t1 in ix.star_obj_by_sub.get(t2[2], ()):
+            st = star[t2[0]]
+            if st >= 0:
+                yield (t1, t2), (t1[0], t1[1], st)
 
 
 def _m_3e(ix, dx, ctx):
+    star, sub = ctx.table.star, ctx.table.sub
     for t1 in dx.star_subj:
-        for t2 in ix.by_po.get((SC, t1.s.cls), ()):
-            st = _try_star(t2.s)
-            if st is not None:
-                yield (t1, t2), st, t1.p, t1.o
-    for t2 in dx.by_pred.get(SC, ()):
-        for t1 in ix.star_subj_by_sub.get(t2.o, ()):
-            st = _try_star(t2.s)
-            if st is not None:
-                yield (t1, t2), st, t1.p, t1.o
+        for t2 in ix.by_po.get((_SC, sub[t1[0]]), ()):
+            st = star[t2[0]]
+            if st >= 0:
+                yield (t1, t2), (st, t1[1], t1[2])
+    for t2 in dx.by_pred.get(_SC, ()):
+        for t1 in ix.star_subj_by_sub.get(t2[2], ()):
+            st = star[t2[0]]
+            if st >= 0:
+                yield (t1, t2), (st, t1[1], t1[2])
 
 
 def _m_4a(ix, dx, ctx):
-    for t1 in dx.by_pred.get(DOM, ()):
-        for t2 in ix.by_pred.get(t1.s, ()):
-            yield (t1, t2), t2.s, TYPE, t1.o
+    for t1 in dx.by_pred.get(_DOM, ()):
+        for t2 in ix.by_pred.get(t1[0], ()):
+            yield (t1, t2), (t2[0], _TYPE, t1[2])
     for t2 in dx.all:
-        for t1 in ix.by_sp.get((t2.p, DOM), ()):
-            yield (t1, t2), t2.s, TYPE, t1.o
+        for t1 in ix.by_sp.get((t2[1], _DOM), ()):
+            yield (t1, t2), (t2[0], _TYPE, t1[2])
 
 
 def _m_4b(ix, dx, ctx):
-    for t1 in dx.by_pred.get(RANGE, ()):
-        for t2 in ix.by_pred.get(t1.s, ()):
-            yield (t1, t2), t2.o, TYPE, t1.o
+    for t1 in dx.by_pred.get(_RANGE, ()):
+        for t2 in ix.by_pred.get(t1[0], ()):
+            yield (t1, t2), (t2[2], _TYPE, t1[2])
     for t2 in dx.all:
-        for t1 in ix.by_sp.get((t2.p, RANGE), ()):
-            yield (t1, t2), t2.o, TYPE, t1.o
+        for t1 in ix.by_sp.get((t2[1], _RANGE), ()):
+            yield (t1, t2), (t2[2], _TYPE, t1[2])
 
 
 def _m_4c(ix, dx, ctx):
     # (D,dom,B), (X,type,!B), (Z,D,Y) -> (X,!D,Y)
-    def combos(t1):
-        nd = try_negate(t1.s)
-        nb = try_negate(t1.o)
-        return nd, nb
-
-    for t1 in dx.by_pred.get(DOM, ()):
-        nd, nb = combos(t1)
-        if nd is None or nb is None:
+    neg = ctx.table.neg
+    for t1 in dx.by_pred.get(_DOM, ()):
+        nd, nb = neg[t1[0]], neg[t1[2]]
+        if nd < 0 or nb < 0:
             continue
-        for t2 in ix.by_po.get((TYPE, nb), ()):
-            for t3 in ix.by_pred.get(t1.s, ()):
-                yield (t1, t2, t3), t2.s, nd, t3.o
-    for t2 in dx.by_pred.get(TYPE, ()):
-        b = try_negate(t2.o)
-        if b is None:
+        for t2 in ix.by_po.get((_TYPE, nb), ()):
+            for t3 in ix.by_pred.get(t1[0], ()):
+                yield (t1, t2, t3), (t2[0], nd, t3[2])
+    for t2 in dx.by_pred.get(_TYPE, ()):
+        b = neg[t2[2]]
+        if b < 0:
             continue
-        for t1 in ix.by_po.get((DOM, b), ()):
-            nd = try_negate(t1.s)
-            if nd is None:
+        for t1 in ix.by_po.get((_DOM, b), ()):
+            nd = neg[t1[0]]
+            if nd < 0:
                 continue
-            for t3 in ix.by_pred.get(t1.s, ()):
-                yield (t1, t2, t3), t2.s, nd, t3.o
+            for t3 in ix.by_pred.get(t1[0], ()):
+                yield (t1, t2, t3), (t2[0], nd, t3[2])
     for t3 in dx.all:
-        for t1 in ix.by_sp.get((t3.p, DOM), ()):
-            nd, nb = combos(t1)
-            if nd is None or nb is None:
+        for t1 in ix.by_sp.get((t3[1], _DOM), ()):
+            nd, nb = neg[t1[0]], neg[t1[2]]
+            if nd < 0 or nb < 0:
                 continue
-            for t2 in ix.by_po.get((TYPE, nb), ()):
-                yield (t1, t2, t3), t2.s, nd, t3.o
+            for t2 in ix.by_po.get((_TYPE, nb), ()):
+                yield (t1, t2, t3), (t2[0], nd, t3[2])
 
 
 def _m_4d(ix, dx, ctx):
     # (D,range,B), (Y,type,!B), (X,D,Z) -> (X,!D,Y)
-    for t1 in dx.by_pred.get(RANGE, ()):
-        nd, nb = try_negate(t1.s), try_negate(t1.o)
-        if nd is None or nb is None:
+    neg = ctx.table.neg
+    for t1 in dx.by_pred.get(_RANGE, ()):
+        nd, nb = neg[t1[0]], neg[t1[2]]
+        if nd < 0 or nb < 0:
             continue
-        for t2 in ix.by_po.get((TYPE, nb), ()):
-            for t3 in ix.by_pred.get(t1.s, ()):
-                yield (t1, t2, t3), t3.s, nd, t2.s
-    for t2 in dx.by_pred.get(TYPE, ()):
-        b = try_negate(t2.o)
-        if b is None:
+        for t2 in ix.by_po.get((_TYPE, nb), ()):
+            for t3 in ix.by_pred.get(t1[0], ()):
+                yield (t1, t2, t3), (t3[0], nd, t2[0])
+    for t2 in dx.by_pred.get(_TYPE, ()):
+        b = neg[t2[2]]
+        if b < 0:
             continue
-        for t1 in ix.by_po.get((RANGE, b), ()):
-            nd = try_negate(t1.s)
-            if nd is None:
+        for t1 in ix.by_po.get((_RANGE, b), ()):
+            nd = neg[t1[0]]
+            if nd < 0:
                 continue
-            for t3 in ix.by_pred.get(t1.s, ()):
-                yield (t1, t2, t3), t3.s, nd, t2.s
+            for t3 in ix.by_pred.get(t1[0], ()):
+                yield (t1, t2, t3), (t3[0], nd, t2[0])
     for t3 in dx.all:
-        for t1 in ix.by_sp.get((t3.p, RANGE), ()):
-            nd, nb = try_negate(t1.s), try_negate(t1.o)
-            if nd is None or nb is None:
+        for t1 in ix.by_sp.get((t3[1], _RANGE), ()):
+            nd, nb = neg[t1[0]], neg[t1[2]]
+            if nd < 0 or nb < 0:
                 continue
-            for t2 in ix.by_po.get((TYPE, nb), ()):
-                yield (t1, t2, t3), t3.s, nd, t2.s
+            for t2 in ix.by_po.get((_TYPE, nb), ()):
+                yield (t1, t2, t3), (t3[0], nd, t2[0])
 
 
 def _m_4e(ix, dx, ctx):
+    sub = ctx.table.sub
     for t1 in dx.star_obj:
-        for t2 in ix.by_po.get((TYPE, t1.o.cls), ()):
-            yield (t1, t2), t1.s, t1.p, t2.s
-    for t2 in dx.by_pred.get(TYPE, ()):
-        for t1 in ix.star_obj_by_sub.get(t2.o, ()):
-            yield (t1, t2), t1.s, t1.p, t2.s
+        for t2 in ix.by_po.get((_TYPE, sub[t1[2]]), ()):
+            yield (t1, t2), (t1[0], t1[1], t2[0])
+    for t2 in dx.by_pred.get(_TYPE, ()):
+        for t1 in ix.star_obj_by_sub.get(t2[2], ()):
+            yield (t1, t2), (t1[0], t1[1], t2[0])
 
 
 def _m_4f(ix, dx, ctx):
+    sub = ctx.table.sub
     for t1 in dx.star_subj:
-        for t2 in ix.by_po.get((TYPE, t1.s.cls), ()):
-            yield (t1, t2), t2.s, t1.p, t1.o
-    for t2 in dx.by_pred.get(TYPE, ()):
-        for t1 in ix.star_subj_by_sub.get(t2.o, ()):
-            yield (t1, t2), t2.s, t1.p, t1.o
+        for t2 in ix.by_po.get((_TYPE, sub[t1[0]]), ()):
+            yield (t1, t2), (t2[0], t1[1], t1[2])
+    for t2 in dx.by_pred.get(_TYPE, ()):
+        for t1 in ix.star_subj_by_sub.get(t2[2], ()):
+            yield (t1, t2), (t2[0], t1[1], t1[2])
 
 
 def _m_4g(ix, dx, ctx):
     # (A,D,*C), (A,!D,Y) -> (Y,type,!C)
+    neg, sub = ctx.table.neg, ctx.table.sub
     for t1 in dx.star_obj:
-        nd = try_negate(t1.p)
-        if nd is None:
+        nd = neg[t1[1]]
+        if nd < 0:
             continue
-        for t2 in ix.by_sp.get((t1.s, nd), ()):
-            yield (t1, t2), t2.o, TYPE, negate(t1.o.cls)
+        for t2 in ix.by_sp.get((t1[0], nd), ()):
+            yield (t1, t2), (t2[2], _TYPE, neg[sub[t1[2]]])
     for t2 in dx.all:
-        nd = try_negate(t2.p)
-        if nd is None:
+        nd = neg[t2[1]]
+        if nd < 0:
             continue
-        for t1 in ix.by_sp.get((t2.s, nd), ()):
-            if isinstance(t1.o, Star):
-                yield (t1, t2), t2.o, TYPE, negate(t1.o.cls)
+        for t1 in ix.by_sp.get((t2[0], nd), ()):
+            if sub[t1[2]] >= 0:
+                yield (t1, t2), (t2[2], _TYPE, neg[sub[t1[2]]])
 
 
 def _m_4h(ix, dx, ctx):
     # (*C,D,B), (X,!D,B) -> (X,type,!C)
+    neg, sub = ctx.table.neg, ctx.table.sub
     for t1 in dx.star_subj:
-        nd = try_negate(t1.p)
-        if nd is None:
+        nd = neg[t1[1]]
+        if nd < 0:
             continue
-        for t2 in ix.by_po.get((nd, t1.o), ()):
-            yield (t1, t2), t2.s, TYPE, negate(t1.s.cls)
+        for t2 in ix.by_po.get((nd, t1[2]), ()):
+            yield (t1, t2), (t2[0], _TYPE, neg[sub[t1[0]]])
     for t2 in dx.all:
-        nd = try_negate(t2.p)
-        if nd is None:
+        nd = neg[t2[1]]
+        if nd < 0:
             continue
-        for t1 in ix.by_po.get((nd, t2.o), ()):
-            if isinstance(t1.s, Star):
-                yield (t1, t2), t2.s, TYPE, negate(t1.s.cls)
+        for t1 in ix.by_po.get((nd, t2[2]), ()):
+            if sub[t1[0]] >= 0:
+                yield (t1, t2), (t2[0], _TYPE, neg[sub[t1[0]]])
 
 
 def _m_5a(ix, dx, ctx):
     # (A,dom,B), (D,sp,A), (X,D,Y) -> (X,type,B)
-    for t1 in dx.by_pred.get(DOM, ()):
-        for t2 in ix.by_po.get((SP, t1.s), ()):
-            for t3 in ix.by_pred.get(t2.s, ()):
-                yield (t1, t2, t3), t3.s, TYPE, t1.o
-    for t2 in dx.by_pred.get(SP, ()):
-        for t1 in ix.by_sp.get((t2.o, DOM), ()):
-            for t3 in ix.by_pred.get(t2.s, ()):
-                yield (t1, t2, t3), t3.s, TYPE, t1.o
+    for t1 in dx.by_pred.get(_DOM, ()):
+        for t2 in ix.by_po.get((_SP, t1[0]), ()):
+            for t3 in ix.by_pred.get(t2[0], ()):
+                yield (t1, t2, t3), (t3[0], _TYPE, t1[2])
+    for t2 in dx.by_pred.get(_SP, ()):
+        for t1 in ix.by_sp.get((t2[2], _DOM), ()):
+            for t3 in ix.by_pred.get(t2[0], ()):
+                yield (t1, t2, t3), (t3[0], _TYPE, t1[2])
     for t3 in dx.all:
-        for t2 in ix.by_sp.get((t3.p, SP), ()):
-            for t1 in ix.by_sp.get((t2.o, DOM), ()):
-                yield (t1, t2, t3), t3.s, TYPE, t1.o
+        for t2 in ix.by_sp.get((t3[1], _SP), ()):
+            for t1 in ix.by_sp.get((t2[2], _DOM), ()):
+                yield (t1, t2, t3), (t3[0], _TYPE, t1[2])
 
 
 def _m_5b(ix, dx, ctx):
-    for t1 in dx.by_pred.get(RANGE, ()):
-        for t2 in ix.by_po.get((SP, t1.s), ()):
-            for t3 in ix.by_pred.get(t2.s, ()):
-                yield (t1, t2, t3), t3.o, TYPE, t1.o
-    for t2 in dx.by_pred.get(SP, ()):
-        for t1 in ix.by_sp.get((t2.o, RANGE), ()):
-            for t3 in ix.by_pred.get(t2.s, ()):
-                yield (t1, t2, t3), t3.o, TYPE, t1.o
+    for t1 in dx.by_pred.get(_RANGE, ()):
+        for t2 in ix.by_po.get((_SP, t1[0]), ()):
+            for t3 in ix.by_pred.get(t2[0], ()):
+                yield (t1, t2, t3), (t3[2], _TYPE, t1[2])
+    for t2 in dx.by_pred.get(_SP, ()):
+        for t1 in ix.by_sp.get((t2[2], _RANGE), ()):
+            for t3 in ix.by_pred.get(t2[0], ()):
+                yield (t1, t2, t3), (t3[2], _TYPE, t1[2])
     for t3 in dx.all:
-        for t2 in ix.by_sp.get((t3.p, SP), ()):
-            for t1 in ix.by_sp.get((t2.o, RANGE), ()):
-                yield (t1, t2, t3), t3.o, TYPE, t1.o
+        for t2 in ix.by_sp.get((t3[1], _SP), ()):
+            for t1 in ix.by_sp.get((t2[2], _RANGE), ()):
+                yield (t1, t2, t3), (t3[2], _TYPE, t1[2])
 
 
 def _m_6a(ix, dx, ctx):
-    for t in dx.by_pred.get(BOTC, ()):
-        yield (t,), t.o, BOTC, t.s
+    for t in dx.by_pred.get(_BOTC, ()):
+        yield (t,), (t[2], _BOTC, t[0])
 
 
 def _m_6b(ix, dx, ctx):
-    for t1 in dx.by_pred.get(BOTC, ()):
-        for t2 in ix.by_po.get((SC, t1.s), ()):
-            yield (t1, t2), t2.s, BOTC, t1.o
-    for t2 in dx.by_pred.get(SC, ()):
-        for t1 in ix.by_sp.get((t2.o, BOTC), ()):
-            yield (t1, t2), t2.s, BOTC, t1.o
+    for t1 in dx.by_pred.get(_BOTC, ()):
+        for t2 in ix.by_po.get((_SC, t1[0]), ()):
+            yield (t1, t2), (t2[0], _BOTC, t1[2])
+    for t2 in dx.by_pred.get(_SC, ()):
+        for t1 in ix.by_sp.get((t2[2], _BOTC), ()):
+            yield (t1, t2), (t2[0], _BOTC, t1[2])
 
 
 def _m_6c(ix, dx, ctx):
     for t in ctx.self_botc_delta:
         for b in ctx.class_terms:
-            yield (t,), t.s, BOTC, b
+            yield (t,), (t[0], _BOTC, b)
     for t in ctx.self_botc_old:
         for b in ctx.new_class_terms:
-            yield (t,), t.s, BOTC, b
+            yield (t,), (t[0], _BOTC, b)
 
 
 def _m_6d(ix, dx, ctx):
-    for t in dx.by_pred.get(BOTC, ()):
-        nb = _neg_fresh(t.o)
-        if nb is not None:
-            yield (t,), t.s, SC, nb
+    fresh = ctx.table.fresh
+    for t in dx.by_pred.get(_BOTC, ()):
+        nb = fresh[t[2]]
+        if nb >= 0:
+            yield (t,), (t[0], _SC, nb)
 
 
 def _m_6e(ix, dx, ctx):
-    for t in dx.by_pred.get(SC, ()):
-        nb = _neg_fresh(t.o)
-        if nb is not None:
-            yield (t,), t.s, BOTC, nb
+    fresh = ctx.table.fresh
+    for t in dx.by_pred.get(_SC, ()):
+        nb = fresh[t[2]]
+        if nb >= 0:
+            yield (t,), (t[0], _BOTC, nb)
 
 
 def _m_7a(ix, dx, ctx):
-    for t in dx.by_pred.get(BOTP, ()):
-        yield (t,), t.o, BOTP, t.s
+    for t in dx.by_pred.get(_BOTP, ()):
+        yield (t,), (t[2], _BOTP, t[0])
 
 
 def _m_7b(ix, dx, ctx):
-    for t1 in dx.by_pred.get(BOTP, ()):
-        for t2 in ix.by_po.get((SP, t1.s), ()):
-            yield (t1, t2), t2.s, BOTP, t1.o
-    for t2 in dx.by_pred.get(SP, ()):
-        for t1 in ix.by_sp.get((t2.o, BOTP), ()):
-            yield (t1, t2), t2.s, BOTP, t1.o
+    for t1 in dx.by_pred.get(_BOTP, ()):
+        for t2 in ix.by_po.get((_SP, t1[0]), ()):
+            yield (t1, t2), (t2[0], _BOTP, t1[2])
+    for t2 in dx.by_pred.get(_SP, ()):
+        for t1 in ix.by_sp.get((t2[2], _BOTP), ()):
+            yield (t1, t2), (t2[0], _BOTP, t1[2])
 
 
 def _m_7c(ix, dx, ctx):
     for t in ctx.self_botp_delta:
         for b in ctx.property_terms:
-            yield (t,), t.s, BOTP, b
+            yield (t,), (t[0], _BOTP, b)
     for t in ctx.self_botp_old:
         for b in ctx.new_property_terms:
-            yield (t,), t.s, BOTP, b
+            yield (t,), (t[0], _BOTP, b)
 
 
 def _m_7d(ix, dx, ctx):
-    for t in dx.by_pred.get(BOTP, ()):
-        nb = _neg_fresh(t.o)
-        if nb is not None:
-            yield (t,), t.s, SP, nb
+    fresh = ctx.table.fresh
+    for t in dx.by_pred.get(_BOTP, ()):
+        nb = fresh[t[2]]
+        if nb >= 0:
+            yield (t,), (t[0], _SP, nb)
 
 
 def _m_7e(ix, dx, ctx):
-    for t in dx.by_pred.get(SP, ()):
-        nb = _neg_fresh(t.o)
-        if nb is not None:
-            yield (t,), t.s, BOTP, nb
+    fresh = ctx.table.fresh
+    for t in dx.by_pred.get(_SP, ()):
+        nb = fresh[t[2]]
+        if nb >= 0:
+            yield (t,), (t[0], _BOTP, nb)
 
 
 def _m_8a(ix, dx, ctx):
     # (A,dom,C), (B,dom,D), (C,botc,D) -> (A,botp,B)
-    for t1 in dx.by_pred.get(DOM, ()):
-        for t3 in ix.by_sp.get((t1.o, BOTC), ()):
-            for t2 in ix.by_po.get((DOM, t3.o), ()):
-                yield (t1, t2, t3), t1.s, BOTP, t2.s
-    for t2 in dx.by_pred.get(DOM, ()):
-        for t3 in ix.by_po.get((BOTC, t2.o), ()):
-            for t1 in ix.by_po.get((DOM, t3.s), ()):
-                yield (t1, t2, t3), t1.s, BOTP, t2.s
-    for t3 in dx.by_pred.get(BOTC, ()):
-        for t1 in ix.by_po.get((DOM, t3.s), ()):
-            for t2 in ix.by_po.get((DOM, t3.o), ()):
-                yield (t1, t2, t3), t1.s, BOTP, t2.s
+    for t1 in dx.by_pred.get(_DOM, ()):
+        for t3 in ix.by_sp.get((t1[2], _BOTC), ()):
+            for t2 in ix.by_po.get((_DOM, t3[2]), ()):
+                yield (t1, t2, t3), (t1[0], _BOTP, t2[0])
+    for t2 in dx.by_pred.get(_DOM, ()):
+        for t3 in ix.by_po.get((_BOTC, t2[2]), ()):
+            for t1 in ix.by_po.get((_DOM, t3[0]), ()):
+                yield (t1, t2, t3), (t1[0], _BOTP, t2[0])
+    for t3 in dx.by_pred.get(_BOTC, ()):
+        for t1 in ix.by_po.get((_DOM, t3[0]), ()):
+            for t2 in ix.by_po.get((_DOM, t3[2]), ()):
+                yield (t1, t2, t3), (t1[0], _BOTP, t2[0])
 
 
 def _m_8b(ix, dx, ctx):
-    for t1 in dx.by_pred.get(RANGE, ()):
-        for t3 in ix.by_sp.get((t1.o, BOTC), ()):
-            for t2 in ix.by_po.get((RANGE, t3.o), ()):
-                yield (t1, t2, t3), t1.s, BOTP, t2.s
-    for t2 in dx.by_pred.get(RANGE, ()):
-        for t3 in ix.by_po.get((BOTC, t2.o), ()):
-            for t1 in ix.by_po.get((RANGE, t3.s), ()):
-                yield (t1, t2, t3), t1.s, BOTP, t2.s
-    for t3 in dx.by_pred.get(BOTC, ()):
-        for t1 in ix.by_po.get((RANGE, t3.s), ()):
-            for t2 in ix.by_po.get((RANGE, t3.o), ()):
-                yield (t1, t2, t3), t1.s, BOTP, t2.s
+    for t1 in dx.by_pred.get(_RANGE, ()):
+        for t3 in ix.by_sp.get((t1[2], _BOTC), ()):
+            for t2 in ix.by_po.get((_RANGE, t3[2]), ()):
+                yield (t1, t2, t3), (t1[0], _BOTP, t2[0])
+    for t2 in dx.by_pred.get(_RANGE, ()):
+        for t3 in ix.by_po.get((_BOTC, t2[2]), ()):
+            for t1 in ix.by_po.get((_RANGE, t3[0]), ()):
+                yield (t1, t2, t3), (t1[0], _BOTP, t2[0])
+    for t3 in dx.by_pred.get(_BOTC, ()):
+        for t1 in ix.by_po.get((_RANGE, t3[0]), ()):
+            for t2 in ix.by_po.get((_RANGE, t3[2]), ()):
+                yield (t1, t2, t3), (t1[0], _BOTP, t2[0])
 
 
 _MATCHERS: Dict[RuleId, _Matcher] = {
@@ -773,14 +823,6 @@ _MATCHERS: Dict[RuleId, _Matcher] = {
 }
 
 
-def _is_self_botc(t: Triple) -> bool:
-    return t.p == BOTC and t.s == t.o
-
-
-def _is_self_botp(t: Triple) -> bool:
-    return t.p == BOTP and t.s == t.o
-
-
 # ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
@@ -797,24 +839,25 @@ def instantiate(rule: RuleId, g: Graph, domains: Optional[Domains] = None) -> Li
         raise ValueError(f"rule {rule} is not a closure rule")
     if domains is None:
         domains = recognize_domains(g)
-    ix = TripleIndex(g)
+    table = TermTable()
+    triples = {table.encode(t): t for t in g}
+    ix = TripleIndex(table, triples)
     ctx = _RoundContext(
-        class_terms=sorted(domains.class_terms, key=repr),
-        property_terms=sorted(domains.property_terms, key=repr),
-        self_botc_delta=[t for t in g if _is_self_botc(t)],
-        self_botp_delta=[t for t in g if _is_self_botp(t)],
+        table,
+        class_terms=[table.intern(c) for c in sorted(domains.class_terms, key=repr)],
+        property_terms=[table.intern(p) for p in sorted(domains.property_terms, key=repr)],
+        self_botc_delta=[k for k in triples if k[0] == k[2] and k[1] == _BOTC],
+        self_botp_delta=[k for k in triples if k[0] == k[2] and k[1] == _BOTP],
     )
     steps: List[ProofStep] = []
-    seen: Set[Tuple[Tuple[Triple, ...], Triple]] = set()
-    for premises, s, p, o in _MATCHERS[rule](ix, ix, ctx):
-        t = try_triple(s, p, o)
-        if t is None or t in g:
+    seen: Set[Tuple[Tuple[IdTriple, ...], IdTriple]] = set()
+    terms = table.terms
+    for premises, key in _MATCHERS[rule](ix, ix, ctx):
+        if key in triples or not table.valid(*key) or (premises, key) in seen:
             continue
-        key = (premises, t)
-        if key in seen:
-            continue
-        seen.add(key)
-        steps.append(ProofStep(rule, premises, t))
+        seen.add((premises, key))
+        conclusion = Triple(terms[key[0]], terms[key[1]], terms[key[2]])
+        steps.append(ProofStep(rule, tuple(triples[k] for k in premises), conclusion))
     return steps
 
 
@@ -822,57 +865,50 @@ class _Engine:
     def __init__(self, g: Graph, rule_ids: FrozenSet[RuleId], cap: int):
         self.cap = cap
         self.rules = [r for r in RuleId if r in rule_ids and r in _MATCHERS]
-        # Raw (s, p, o) keys of the installed and pending triples, so a
-        # rediscovered candidate is dropped before a Triple is validated
-        # and built for it.
-        self.seen: Set[Tuple[Term, Term, Term]] = set()
-        self.index = TripleIndex()
-        self.tracker = _DomainTracker()
+        self.table = TermTable()
+        self.index = TripleIndex(self.table)
+        self.tracker = _DomainTracker(self.table)
+        # Every installed or pending triple by its ids: one dict both
+        # drops rediscovered candidates and finds the Triple of a
+        # premise.  It keeps first-insertion order.
+        self.triples: Dict[IdTriple, Triple] = {}
         self.provenance: Dict[Triple, ProofStep] = {}
         self.fires: Dict[str, int] = {r.value: 0 for r in self.rules}
-        self.self_botc: List[Triple] = []
-        self.self_botp: List[Triple] = []
-        self.pending: List[ProofStep] = []
-        self.input = [t for t in g]
-        for t in self.input:
-            self.seen.add((t.s, t.p, t.o))
-            self._install(t)
-        if len(self.index.all) > self.cap:
-            raise ClosureCapError(self.cap, len(self.index.all))
+        self.candidates: Dict[str, int] = dict.fromkeys(self.fires, 0)
+        self.round_deltas: List[int] = []
+        self.self_botc: List[IdTriple] = []
+        self.self_botp: List[IdTriple] = []
+        for t in g:
+            key = self.table.encode(t)
+            self.triples[key] = t
+            self._install(key)
+        if len(self.triples) > self.cap:
+            raise ClosureCapError(self.cap, len(self.triples))
 
-    def _install(self, t: Triple) -> None:
-        self.index.add(t)
-        self.tracker.add_triple(t)
-        if _is_self_botc(t):
-            self.self_botc.append(t)
-        elif _is_self_botp(t):
-            self.self_botp.append(t)
+    def _install(self, key: IdTriple) -> None:
+        self.index.add(key)
+        self.tracker.add_triple(key)
+        if key[0] == key[2]:
+            if key[1] == _BOTC:
+                self.self_botc.append(key)
+            elif key[1] == _BOTP:
+                self.self_botp.append(key)
 
-    def _emit(self, rule: RuleId, premises: Tuple[Triple, ...], s: Term, p: Term, o: Term) -> None:
-        key = (s, p, o)
-        if key in self.seen:
-            return
-        t = try_triple(s, p, o)
-        if t is None:
-            return
-        if len(self.seen) + 1 > self.cap:
-            raise ClosureCapError(self.cap, len(self.seen) + 1)
-        self.seen.add(key)
-        self.pending.append(ProofStep(rule, premises, t))
-        self.fires[rule.value] += 1
-
-    def run(self) -> Tuple[int, int]:
+    def run(self) -> int:
+        table, triples, tracker = self.table, self.triples, self.tracker
+        terms, valid = table.terms, table.valid
         iterations = 0
-        delta = list(self.input)
-        prev_classes: Set[Term] = set()
-        prev_props: Set[Term] = set()
+        delta = list(triples)  # the input, all installed so far
+        prev_classes: Set[int] = set()
+        prev_props: Set[int] = set()
         old_botc = old_botp = 0
         while delta:
             iterations += 1
-            dx = _Delta(delta)
-            classes = sorted(self.tracker.class_terms, key=repr)
-            props = sorted(self.tracker.property_terms, key=repr)
+            dx = _Delta(delta, table)
+            classes = tracker.ordered(tracker.class_terms)
+            props = tracker.ordered(tracker.property_terms)
             ctx = _RoundContext(
+                table,
                 class_terms=classes,
                 property_terms=props,
                 new_class_terms=[c for c in classes if c not in prev_classes],
@@ -887,15 +923,24 @@ class _Engine:
             old_botc, old_botp = len(self.self_botc), len(self.self_botp)
             prev_classes = set(classes)
             prev_props = set(props)
-            self.pending = []
+            delta, pending = [], []
             for rule in self.rules:
-                for premises, s, p, o in _MATCHERS[rule](self.index, dx, ctx):
-                    self._emit(rule, premises, s, p, o)
-            for step in self.pending:
-                self._install(step.conclusion)
+                listed = 0
+                for listed, (premises, key) in enumerate(_MATCHERS[rule](self.index, dx, ctx), 1):
+                    if key in triples or not valid(*key):
+                        continue
+                    if len(triples) + 1 > self.cap:
+                        raise ClosureCapError(self.cap, len(triples) + 1)
+                    t = triples[key] = Triple(terms[key[0]], terms[key[1]], terms[key[2]])
+                    pending.append(ProofStep(rule, tuple(map(triples.__getitem__, premises)), t))
+                    delta.append(key)
+                    self.fires[rule.value] += 1
+                self.candidates[rule.value] += listed
+            for key, step in zip(delta, pending):
+                self._install(key)
                 self.provenance[step.conclusion] = step
-            delta = [step.conclusion for step in self.pending]
-        return iterations, len(self.index.all)
+            self.round_deltas.append(len(delta))
+        return iterations
 
 
 def closure(
@@ -922,21 +967,25 @@ def closure(
         raise ValueError("triple cap must be positive")
     start = time.perf_counter()
     engine = _Engine(g, rule_ids, cap)
-    iterations, size = engine.run()
-    # The key set is not needed past the fixpoint; freeing it before the
-    # Graph builds its own set keeps it out of the peak memory.
-    engine.seen.clear()
+    iterations = engine.run()
+    order = list(engine.triples.values())
+    # Free the id dict and index before the Graph builds its own set,
+    # so they stay out of the peak memory.
+    engine.triples = engine.index = None
     elapsed = time.perf_counter() - start
+    tracker = engine.tracker
     return ClosureResult(
-        closure=Graph(engine.index.all),
+        closure=Graph(order),
         provenance=engine.provenance,
-        class_terms=frozenset(engine.tracker.class_terms),
-        property_terms=frozenset(engine.tracker.property_terms),
+        class_terms=tracker.terms(tracker.class_terms),
+        property_terms=tracker.terms(tracker.property_terms),
         stats=ClosureStats(
             iterations=iterations,
             rule_fire_counts=dict(engine.fires),
             input_size=len(g),
-            output_size=size,
+            output_size=len(order),
             elapsed_s=elapsed,
+            round_deltas=tuple(engine.round_deltas),
+            rule_candidates=dict(engine.candidates),
         ),
     )

@@ -1,10 +1,12 @@
 """In-process checks of the command line front end."""
 
+import dataclasses
+import json
 import pathlib
 
 import pytest
 
-from rhodf import load_interpretation, check_model, parse_graph
+from rhodf import ClosureStats, load_interpretation, check_model, parse_graph
 from rhodf import cli
 from rhodf.cli import main
 
@@ -165,6 +167,16 @@ class TestStats:
         assert "iterations:" in out
         assert "fired:" in out
         assert "wall time:" in out
+
+    def test_json_carries_every_stats_field(self, capsys):
+        assert main(["stats", EXTENDED, "--json"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1
+        stats = json.loads(out)
+        assert set(stats) == {f.name for f in dataclasses.fields(ClosureStats)}
+        assert sum(stats["round_deltas"]) == stats["output_size"] - stats["input_size"]
+        assert len(stats["round_deltas"]) == stats["iterations"]
+        assert stats["rule_candidates"].keys() == stats["rule_fire_counts"].keys()
 
 
 class TestDiagnostics:

@@ -1,5 +1,7 @@
 """Tests for the .rnt reader and writer."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from rhodf import (
     Neg,
     Star,
     Triple,
+    cubic,
     parse_graph,
     parse_graph_lenient,
     parse_term,
@@ -20,6 +23,7 @@ from rhodf import (
     serialize_graph,
     serialize_term,
     serialize_triple,
+    try_triple,
 )
 
 
@@ -129,3 +133,26 @@ class TestGraphRoundTrip:
     def test_fixture_round_trip(self, medical_negative_text):
         g = parse_graph(medical_negative_text)
         assert parse_graph(serialize_graph(g)) == g
+
+
+def term_ordered(g):
+    """Lines sorted by the (subject, predicate, object) strings as a
+    tuple, the order serialize_graph promises."""
+    keys = sorted((serialize_term(t.s), serialize_term(t.p), serialize_term(t.o)) for t in g)
+    return "".join(f"{s} {p} {o} .\n" for s, p, o in keys)
+
+
+class TestSerializedOrder:
+    def test_line_order_is_the_term_order(self, medical_text, medical_negative_text):
+        names = ["a", "a1", "a-", "a_b", "ab", "b", "A"]
+        iris = [Iri(n) for n in names] + [Iri("a b"), Iri("a.b")]
+        resources = iris + [Neg(i) for i in iris]
+        terms = resources + [Star(r) for r in resources] + [Blank(n) for n in names + ["1", "_"]]
+        terms += [Literal(x) for x in names + ["", "a b", 'a"', "a\\", "a\t", "\u00e9"]]
+        graphs = [parse_graph(medical_text), parse_graph(medical_negative_text), cubic(8)]
+        for seed in range(60):
+            rng = random.Random(seed)
+            picked = (try_triple(rng.choice(terms), rng.choice(resources), rng.choice(terms)) for _ in range(40))
+            graphs.append(Graph(t for t in picked if t is not None))
+        for g in graphs:
+            assert serialize_graph(g) == term_ordered(g)

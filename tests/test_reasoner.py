@@ -1,5 +1,7 @@
 """Closure engine tests: fixpoints, rule sets, provenance and growth."""
 
+import pathlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -29,6 +31,7 @@ from rhodf import (
     spchain,
 )
 from rhodf.reasoner import MODE_RULE_IDS
+from term_engine import term_closure
 
 A, B, C, D = Iri("a"), Iri("b"), Iri("c"), Iri("d")
 
@@ -233,6 +236,75 @@ class TestReferenceClosure:
             if set(closure(g, mode).closure) != reference_closure(g, mode):
                 mismatches.append(seed)
         assert mismatches == []
+
+
+def oracle_inputs():
+    """Graphs the id engine is diffed on against the term engine."""
+    for path in sorted((pathlib.Path(__file__).parent / "fixtures").glob("*.rnt")):
+        yield parse_graph(path.read_text())
+    for n in (1, 2, 3, 4, 5, 6, 7, 8, 12, 16):
+        yield cubic(n)
+    yield spchain(48)
+    for seed in range(300):
+        yield random_graph(seed=seed, max_triples=20, max_terms=8, salt_contradiction=seed % 4 == 0)
+
+
+class TestTermEngineOracle:
+    """The closure engine over term ids against the engine over terms
+    (``tests/term_engine.py``): same order, provenance and counts."""
+
+    @pytest.mark.parametrize("mode", ["rdf", "full"])
+    def test_id_engine_matches_the_term_engine(self, mode):
+        mismatches = []
+        for k, g in enumerate(oracle_inputs()):
+            got, want = closure(g, mode), term_closure(g, mode)
+            if (
+                tuple(got.closure) != want.order
+                or tuple(got.provenance.items()) != want.provenance
+                or got.stats.rule_fire_counts != want.fires
+                or got.stats.iterations != want.iterations
+                or got.class_terms != want.class_terms
+                or got.property_terms != want.property_terms
+            ):
+                mismatches.append(k)
+        assert mismatches == []
+
+    def test_cap_overflow_reports_the_same_size(self):
+        graphs = [spchain(10), cubic(4), parse_graph("a cdisj a .\nx type b .\nq dom b .\n")]
+        graphs += [random_graph(seed=seed, max_triples=20, max_terms=8, salt_contradiction=True) for seed in range(20)]
+        checked = 0
+        for g in graphs:
+            size = len(closure(g).closure)
+            for cap in {max(1, len(g) - 1), len(g), (len(g) + size) // 2, size - 1}:
+                if cap >= size:
+                    continue
+                with pytest.raises(ClosureCapError) as got:
+                    closure(g, cap=cap)
+                with pytest.raises(ClosureCapError) as want:
+                    term_closure(g, cap=cap)
+                assert (got.value.cap, got.value.size) == (want.value.cap, want.value.size)
+                checked += 1
+        assert checked > 40
+
+
+class TestClosureCounters:
+    @pytest.mark.parametrize("mode", ["rdf", "full"])
+    def test_round_deltas_and_candidates_add_up(self, mode):
+        graphs = [cubic(6), spchain(12), parse_graph("a cdisj a .\nx type b .\np dom b .\n")]
+        graphs += [random_graph(seed=seed, salt_contradiction=seed % 3 == 0) for seed in range(40)]
+        for g in graphs:
+            stats = closure(g, mode).stats
+            assert len(stats.round_deltas) == stats.iterations
+            assert stats.round_deltas[-1] == 0
+            assert sum(stats.round_deltas) == stats.output_size - stats.input_size
+            assert set(stats.rule_candidates) == set(stats.rule_fire_counts)
+            for rule, fired in stats.rule_fire_counts.items():
+                assert stats.rule_candidates[rule] >= fired
+            assert sum(stats.rule_fire_counts.values()) == stats.output_size - stats.input_size
+
+    def test_rediscovery_shows_in_the_candidates(self):
+        stats = closure(cubic(8)).stats
+        assert sum(stats.rule_candidates.values()) > 2 * sum(stats.rule_fire_counts.values())
 
 
 class TestClosureProperties:
