@@ -2,8 +2,7 @@
 
 Subcommands: ``close`` materializes a closure, ``entail`` decides a
 judgment, ``model`` prints the canonical interpretation, ``gen`` emits
-a benchmark family, ``stats`` summarizes a closure run (``--json``
-prints all its counters as one JSON object).
+a benchmark family, ``stats`` summarizes a closure run.
 
 Exit codes: 0 success (and "holds" for entail), 1 judgment does not
 hold, 2 parse or usage error or an unreadable input file, 3 closure cap
@@ -21,7 +20,7 @@ import argparse
 import os
 import sys
 import traceback
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import List, Optional
 
 from .core import Graph
@@ -190,11 +189,6 @@ def cmd_gen(args: argparse.Namespace, cfg: Config) -> int:
 def cmd_stats(args: argparse.Namespace, cfg: Config) -> int:
     g = _load_graph(args.graph)
     result = closure(g, cfg.mode, cap=cfg.triple_cap)
-    if args.json:
-        import json
-
-        _write(cfg, json.dumps(asdict(result.stats)) + "\n")
-        return EXIT_OK
     lines = [
         f"input triples: {len(g)}",
         f"closure triples: {len(result.closure)}",
@@ -203,6 +197,9 @@ def cmd_stats(args: argparse.Namespace, cfg: Config) -> int:
     for rule_id, count in sorted(result.stats.rule_fire_counts.items()):
         if count:
             lines.append(f"rule {rule_id} fired: {count}")
+    lines.append("round deltas: " + " ".join(map(str, result.stats.round_deltas)))
+    listed = sorted(result.stats.rule_candidates.items())
+    lines.append("rule candidates: " + " ".join(f"{rule_id}={count}" for rule_id, count in listed if count))
     lines.append(f"wall time: {result.stats.elapsed_s:.4f}s")
     _write(cfg, "\n".join(lines) + "\n")
     return EXIT_OK
@@ -255,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_stats = sub.add_parser("stats", help="closure size and rule fire counts")
     p_stats.add_argument("graph", help="graph file, - for stdin")
-    p_stats.add_argument("--json", action="store_true", help="print the closure stats as one JSON object")
     common(p_stats)
     p_stats.set_defaults(func=cmd_stats)
     return parser

@@ -19,7 +19,6 @@ under which a triple holds in an interpretation.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple, TypeVar
 
@@ -55,11 +54,12 @@ class EntailmentReport:
 
 
 class _Choice:
-    """One placed pattern and the candidates left to try."""
+    """One placed pattern: where it sat, and the candidates left to try."""
 
-    __slots__ = ("pattern", "candidates", "bound")
+    __slots__ = ("index", "pattern", "candidates", "bound")
 
-    def __init__(self, pattern: int, candidates) -> None:
+    def __init__(self, index: int, pattern: int, candidates) -> None:
+        self.index = index
         self.pattern = pattern
         self.candidates = iter(candidates)
         self.bound: Tuple[Blank, ...] = ()
@@ -85,17 +85,11 @@ def solve(
     A pattern's candidates may depend on ``sigma`` only through the
     bindings of the pattern's own blanks, its blank subject and object.
     The search relies on this: it lists a pattern again only after one
-    of those blanks was bound or unbound, and keeps the unplaced
-    patterns in a heap keyed by (candidate count, position), where an
-    entry that no longer matches its pattern's list is skipped.  So
-    each placement costs a constant number of listings and heap
-    operations rather than a scan of the remaining patterns.
+    of those blanks was bound or unbound, so each placement costs a
+    constant number of listings rather than one per remaining pattern.
     """
     sigma: Bindings = {}
     listed: List[Optional[Sequence[C]]] = [None] * len(patterns)
-    placed = [False] * len(patterns)
-    stale = list(range(len(patterns)))
-    heap: List[Tuple[int, int]] = []
     users: Dict[Blank, List[int]] = {}
     for n, pattern in enumerate(patterns):
         for x in dict.fromkeys((pattern.s, pattern.o)):
@@ -106,28 +100,21 @@ def solve(
         for k in keys:
             for n in users.get(k, ()):
                 listed[n] = None
-                stale.append(n)
 
-    left = len(patterns)
+    remaining = list(range(len(patterns)))
     stack: List[_Choice] = []
     attempts = 0
-    while left:
-        for n in stale:
-            if not placed[n]:
-                if listed[n] is None:
-                    listed[n] = candidates(patterns[n], sigma)
-                heapq.heappush(heap, (len(listed[n]), n))
-        stale.clear()
-        if len(heap) > 2 * len(patterns):  # skipped entries pile up; rebuild
-            heap = [(len(c), n) for n, c in enumerate(listed) if not placed[n]]
-            heapq.heapify(heap)
-        while True:
-            size, n = heapq.heappop(heap)
-            if not placed[n] and len(listed[n]) == size:
-                break
-        placed[n] = True
-        left -= 1
-        stack.append(_Choice(n, listed[n]))
+    while remaining:
+        best_i, best_c = 0, None
+        for i, n in enumerate(remaining):
+            c = listed[n]
+            if c is None:
+                c = listed[n] = candidates(patterns[n], sigma)
+            if best_c is None or len(c) < len(best_c):
+                best_i, best_c = i, c
+                if not c:
+                    break
+        stack.append(_Choice(best_i, remaining.pop(best_i), best_c))
         # Move the newest choice to its next candidate that fits; when
         # it has none left, put its pattern back and move the one before.
         while True:
@@ -151,9 +138,7 @@ def solve(
                 forget(top.bound)
                 break
             stack.pop()
-            placed[top.pattern] = False
-            stale.append(top.pattern)
-            left += 1
+            remaining.insert(top.index, top.pattern)
     return sigma
 
 

@@ -34,9 +34,37 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
-from .core import BOTC, BOTP, DOM, RANGE, SC, SP, TYPE, Graph, Iri, Neg, Star, Term, Triple, VariableMap, try_negate
+from .core import (
+    BOTC,
+    BOTP,
+    DOM,
+    RANGE,
+    SC,
+    SP,
+    TYPE,
+    Graph,
+    Iri,
+    Neg,
+    Star,
+    Term,
+    Triple,
+    VariableMap,
+    try_negate,
+)
 
 
 class RuleId(Enum):
@@ -282,10 +310,6 @@ class _DomainTracker:
 
     def terms(self, bucket: Set[int]) -> FrozenSet[Term]:
         return frozenset(self.table.terms[x] for x in bucket)
-
-    def ordered(self, bucket: Set[int]) -> List[int]:
-        """The ids of ``bucket`` in the order of their terms' reprs."""
-        return sorted(bucket, key=lambda x: repr(self.table.terms[x]))
 
 
 def recognize_domains(g: Graph) -> Domains:
@@ -702,17 +726,15 @@ def _m_6c(ix, dx, ctx):
 
 
 def _m_6d(ix, dx, ctx):
-    fresh = ctx.table.fresh
     for t in dx.by_pred.get(_BOTC, ()):
-        nb = fresh[t[2]]
+        nb = ctx.table.fresh[t[2]]
         if nb >= 0:
             yield (t,), (t[0], _SC, nb)
 
 
 def _m_6e(ix, dx, ctx):
-    fresh = ctx.table.fresh
     for t in dx.by_pred.get(_SC, ()):
-        nb = fresh[t[2]]
+        nb = ctx.table.fresh[t[2]]
         if nb >= 0:
             yield (t,), (t[0], _BOTC, nb)
 
@@ -741,17 +763,15 @@ def _m_7c(ix, dx, ctx):
 
 
 def _m_7d(ix, dx, ctx):
-    fresh = ctx.table.fresh
     for t in dx.by_pred.get(_BOTP, ()):
-        nb = fresh[t[2]]
+        nb = ctx.table.fresh[t[2]]
         if nb >= 0:
             yield (t,), (t[0], _SP, nb)
 
 
 def _m_7e(ix, dx, ctx):
-    fresh = ctx.table.fresh
     for t in dx.by_pred.get(_SP, ()):
-        nb = fresh[t[2]]
+        nb = ctx.table.fresh[t[2]]
         if nb >= 0:
             yield (t,), (t[0], _BOTP, nb)
 
@@ -905,8 +925,8 @@ class _Engine:
         while delta:
             iterations += 1
             dx = _Delta(delta, table)
-            classes = tracker.ordered(tracker.class_terms)
-            props = tracker.ordered(tracker.property_terms)
+            classes = sorted(tracker.class_terms, key=lambda x: repr(terms[x]))
+            props = sorted(tracker.property_terms, key=lambda x: repr(terms[x]))
             ctx = _RoundContext(
                 table,
                 class_terms=classes,
