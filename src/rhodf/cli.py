@@ -20,7 +20,6 @@ import argparse
 import os
 import sys
 import traceback
-from dataclasses import dataclass
 from typing import List, Optional
 
 from .core import Graph
@@ -36,16 +35,6 @@ EXIT_PARSE = 2
 EXIT_CAP = 3
 EXIT_BUDGET = 4
 EXIT_INTERNAL = 5
-
-
-@dataclass
-class Config:
-    """Resolved options shared by the subcommands."""
-
-    mode: str = "full"
-    triple_cap: Optional[int] = None
-    search_budget: Optional[int] = None
-    output: Optional[str] = None
 
 
 def _color_enabled() -> bool:
@@ -74,14 +63,14 @@ def _load_graph(path: str) -> Graph:
         raise
 
 
-def _open_out(cfg: Config):
-    if cfg.output is None or cfg.output == "-":
+def _open_out(path: Optional[str]):
+    if path is None or path == "-":
         return sys.stdout, False
-    return open(cfg.output, "w", encoding="utf-8"), True
+    return open(path, "w", encoding="utf-8"), True
 
 
-def _write(cfg: Config, text: str) -> None:
-    out, close = _open_out(cfg)
+def _write(path: Optional[str], text: str) -> None:
+    out, close = _open_out(path)
     try:
         out.write(text)
     finally:
@@ -98,11 +87,11 @@ def _premise_text(step) -> str:
     return " ; ".join(serialize_triple(p)[:-2] for p in step.premises)
 
 
-def cmd_close(args: argparse.Namespace, cfg: Config) -> int:
+def cmd_close(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    result = closure(g, cfg.mode, cap=cfg.triple_cap)
+    result = closure(g, args.mode, cap=args.cap)
     if not args.trace:
-        _write(cfg, serialize_graph(result.closure))
+        _write(args.out, serialize_graph(result.closure))
         return EXIT_OK
     lines: List[str] = []
     for t in sorted(result.closure, key=serialize_triple):
@@ -111,7 +100,7 @@ def cmd_close(args: argparse.Namespace, cfg: Config) -> int:
         if step is not None:
             line += f" # {step.rule}: {_premise_text(step)}"
         lines.append(line + "\n")
-    _write(cfg, "".join(lines))
+    _write(args.out, "".join(lines))
     return EXIT_OK
 
 
@@ -136,15 +125,15 @@ def _format_proof(proof) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_entail(args: argparse.Namespace, cfg: Config) -> int:
+def cmd_entail(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     h = _load_graph(args.query)
     report = entails(
         g,
         h,
-        cfg.mode,
-        cap=cfg.triple_cap,
-        budget=cfg.search_budget,
+        args.mode,
+        cap=args.cap,
+        budget=args.budget,
         with_proof=args.proof,
     )
     chunks: List[str] = []
@@ -155,18 +144,18 @@ def cmd_entail(args: argparse.Namespace, cfg: Config) -> int:
                 chunks.append(f"map {serialize_term(k)} -> {serialize_term(v)}\n")
         if args.proof and report.proof is not None:
             chunks.append(_format_proof(report.proof))
-        _write(cfg, "".join(chunks))
+        _write(args.out, "".join(chunks))
         return EXIT_OK
     chunks.append(_verdict("not entailed", False) + "\n")
     for t in report.missing:
         chunks.append(f"unmatched {serialize_triple(t)}\n")
-    _write(cfg, "".join(chunks))
+    _write(args.out, "".join(chunks))
     return EXIT_DOES_NOT_HOLD
 
 
-def cmd_model(args: argparse.Namespace, cfg: Config) -> int:
+def cmd_model(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    model = canonical_model(g, cap=cfg.triple_cap)
+    model = canonical_model(g, cap=args.cap)
     report = check_model(model, g)
     chunks = [serialize_interpretation(model)]
     if report.satisfied:
@@ -175,20 +164,20 @@ def cmd_model(args: argparse.Namespace, cfg: Config) -> int:
         chunks.append(_verdict("not satisfied", False) + "\n")
         for v in report.violations:
             chunks.append(f"violation {v}\n")
-    _write(cfg, "".join(chunks))
+    _write(args.out, "".join(chunks))
     return EXIT_OK if report.satisfied else EXIT_DOES_NOT_HOLD
 
 
-def cmd_gen(args: argparse.Namespace, cfg: Config) -> int:
+def cmd_gen(args: argparse.Namespace) -> int:
     family = spchain if args.family == "spchain" else cubic
     g = family(args.n)
-    _write(cfg, serialize_graph(g))
+    _write(args.out, serialize_graph(g))
     return EXIT_OK
 
 
-def cmd_stats(args: argparse.Namespace, cfg: Config) -> int:
+def cmd_stats(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    result = closure(g, cfg.mode, cap=cfg.triple_cap)
+    result = closure(g, args.mode, cap=args.cap)
     lines = [
         f"input triples: {len(g)}",
         f"closure triples: {len(result.closure)}",
@@ -201,7 +190,7 @@ def cmd_stats(args: argparse.Namespace, cfg: Config) -> int:
     listed = sorted(result.stats.rule_candidates.items())
     lines.append("rule candidates: " + " ".join(f"{rule_id}={count}" for rule_id, count in listed if count))
     lines.append(f"wall time: {result.stats.elapsed_s:.4f}s")
-    _write(cfg, "\n".join(lines) + "\n")
+    _write(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -263,14 +252,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    cfg = Config(
-        mode=getattr(args, "mode", "full"),
-        triple_cap=getattr(args, "cap", None),
-        search_budget=getattr(args, "budget", None),
-        output=getattr(args, "out", None),
-    )
     try:
-        return args.func(args, cfg)
+        return args.func(args)
     except GraphParseError as exc:
         _report_parse_errors(getattr(exc, "path", "<input>"), exc)
         return EXIT_PARSE

@@ -242,16 +242,13 @@ class Graph:
     __slots__ = ("_order", "_set")
 
     def __init__(self, triples: Iterable[Triple] = ()):
-        order = []
-        seen = set()
-        for t in triples:
+        # One hash per triple: the set is built from the dict's stored hashes.
+        order = dict.fromkeys(triples)
+        for t in order:
             if not isinstance(t, Triple):
                 raise TypeError(f"expected a Triple, got {t!r}")
-            if t not in seen:
-                seen.add(t)
-                order.append(t)
         self._order: Tuple[Triple, ...] = tuple(order)
-        self._set: FrozenSet[Triple] = frozenset(seen)
+        self._set: FrozenSet[Triple] = frozenset(order)
 
     def __iter__(self) -> Iterator[Triple]:
         return iter(self._order)

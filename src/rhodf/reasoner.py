@@ -27,6 +27,13 @@ rounds' deltas and the matchers hold ``(s, p, o)`` id tuples, and a
 candidate is deduplicated and validated as such.  A :class:`Triple`
 and its :class:`ProofStep` are built only for a candidate that passes
 both, so once per closure triple.
+
+The rules are mirrored pairs, and each family has one matcher factory,
+closed over a predicate id or a triple position (2 = object, 0 =
+subject): transitivity 2a/3a, contrapositive 2c/3c, the star rules
+2d/2e, 3d/3e, 4e/4f and 4g/4h, typing 4a/4b, 4c/4d, 5a/5b and 8a/8b,
+and disjointness 6a/7a, 6b/7b, 6c/7c and 6d/6e/7d/7e.  Rules 2b and 3b
+have no mirror and are written out.
 """
 
 from __future__ import annotations
@@ -340,9 +347,11 @@ class TripleIndex:
     ``by_pred[p]``, ``by_sp[(s, p)]`` and ``by_po[(p, o)]`` list the
     matching id triples in insertion order, so ``by_sp[(x, _SP)]`` are
     the subproperty statements of ``x`` and ``by_po[(_TYPE, c)]`` the
-    typings into ``c``.  Triples with a star object or subject are also
-    kept by the star's subscript and by predicate, for the star rules.
-    The closure engine and the witness search share this class; neither
+    typings into ``c``.  The star buckets are keyed by the position of
+    the star in the triple, 2 for the object and 0 for the subject:
+    ``star_by_sub[pos][c]`` lists the triples with a star over ``c``
+    there, and ``star_by_pred[pos][p]`` those with predicate ``p``.  The
+    closure engine and the witness search share this class; neither
     keeps a :class:`Triple` in it.
     """
 
@@ -352,12 +361,8 @@ class TripleIndex:
         "by_pred",
         "by_sp",
         "by_po",
-        "star_obj",
-        "star_obj_by_sub",
-        "star_obj_by_pred",
-        "star_subj",
-        "star_subj_by_sub",
-        "star_subj_by_pred",
+        "star_by_sub",
+        "star_by_pred",
     )
 
     def __init__(self, table: TermTable, triples: Iterable[IdTriple] = ()):
@@ -366,12 +371,8 @@ class TripleIndex:
         self.by_pred: Dict[int, List[IdTriple]] = {}
         self.by_sp: Dict[Tuple[int, int], List[IdTriple]] = {}
         self.by_po: Dict[Tuple[int, int], List[IdTriple]] = {}
-        self.star_obj: List[IdTriple] = []
-        self.star_obj_by_sub: Dict[int, List[IdTriple]] = {}
-        self.star_obj_by_pred: Dict[int, List[IdTriple]] = {}
-        self.star_subj: List[IdTriple] = []
-        self.star_subj_by_sub: Dict[int, List[IdTriple]] = {}
-        self.star_subj_by_pred: Dict[int, List[IdTriple]] = {}
+        self.star_by_sub: Dict[int, Dict[int, List[IdTriple]]] = {2: {}, 0: {}}
+        self.star_by_pred: Dict[int, Dict[int, List[IdTriple]]] = {2: {}, 0: {}}
         for t in triples:
             self.add(t)
 
@@ -382,35 +383,30 @@ class TripleIndex:
         self.by_pred.setdefault(p, []).append(t)
         self.by_sp.setdefault((s, p), []).append(t)
         self.by_po.setdefault((p, o), []).append(t)
-        if sub[o] >= 0:
-            self.star_obj.append(t)
-            self.star_obj_by_sub.setdefault(sub[o], []).append(t)
-            self.star_obj_by_pred.setdefault(p, []).append(t)
-        if sub[s] >= 0:
-            self.star_subj.append(t)
-            self.star_subj_by_sub.setdefault(sub[s], []).append(t)
-            self.star_subj_by_pred.setdefault(p, []).append(t)
+        for pos in (2, 0):
+            c = sub[t[pos]]
+            if c >= 0:
+                self.star_by_sub[pos].setdefault(c, []).append(t)
+                self.star_by_pred[pos].setdefault(p, []).append(t)
 
 
 class _Delta:
-    """A round's new triples in the buckets the matchers read from their
-    delta side: all of them, by predicate, and those with a star object
-    or subject.  The pair buckets of a full :class:`TripleIndex` would go
+    """New triples in the buckets the matchers read from their delta
+    side: all of them, by predicate, and by star position as in
+    :class:`TripleIndex`.  The pair buckets of a full index would go
     unused here."""
 
-    __slots__ = ("all", "by_pred", "star_obj", "star_subj")
+    __slots__ = ("all", "by_pred", "star")
 
     def __init__(self, triples: List[IdTriple], table: TermTable):
         self.all = triples
         self.by_pred: Dict[int, List[IdTriple]] = {}
-        self.star_obj: List[IdTriple] = []
-        self.star_subj: List[IdTriple] = []
+        self.star: Dict[int, List[IdTriple]] = {2: [], 0: []}
         for t in triples:
             self.by_pred.setdefault(t[1], []).append(t)
-            if table.sub[t[2]] >= 0:
-                self.star_obj.append(t)
-            if table.sub[t[0]] >= 0:
-                self.star_subj.append(t)
+            for pos in (2, 0):
+                if table.sub[t[pos]] >= 0:
+                    self.star[pos].append(t)
 
 
 # ---------------------------------------------------------------------------
@@ -418,36 +414,46 @@ class _Delta:
 # ---------------------------------------------------------------------------
 
 # Each matcher yields (premises, (s, p, o)) in ids for every
-# instantiation with at least one premise in the delta index `dx`; the
-# full state is in `ix`.  Candidates are validated and deduplicated by
-# the caller, so overlapping enumeration when dx == ix is harmless.
+# instantiation with at least one premise in the delta `dx`; the full
+# state is in `ix`.  Candidates are validated and deduplicated by the
+# caller, so listing one twice, as when the delta is the whole graph,
+# is harmless.  Loop order decides closure order and provenance.
+#
+# A mirrored family is one factory closed over a predicate id (sp or sc,
+# dom or range, cdisj or pdisj) or a triple position, 2 = object and
+# 0 = subject: where the star sits for the star rules, and where the
+# typed term sits in the property's triple for the typing rules.
 
 _Candidate = Tuple[Tuple[IdTriple, ...], IdTriple]
-_Matcher = Callable[[TripleIndex, TripleIndex, "_RoundContext"], Iterator[_Candidate]]
+_Matcher = Callable[[TripleIndex, _Delta, "_RoundContext"], Iterator[_Candidate]]
 
 
 @dataclass
 class _RoundContext:
-    """The term table, and extra state for the free-variable rules 6c/7c."""
+    """The term table, and the state of the free-variable rules 6c/7c,
+    each keyed by ``_BOTC`` or ``_BOTP``: the class or property terms,
+    those new this round, and the self-disjointness statements of the
+    delta and of earlier rounds."""
 
     table: TermTable
-    class_terms: Sequence[int] = ()
-    property_terms: Sequence[int] = ()
-    new_class_terms: Sequence[int] = ()
-    new_property_terms: Sequence[int] = ()
-    self_botc_delta: Sequence[IdTriple] = ()
-    self_botc_old: Sequence[IdTriple] = ()
-    self_botp_delta: Sequence[IdTriple] = ()
-    self_botp_old: Sequence[IdTriple] = ()
+    terms: Mapping[int, Sequence[int]]
+    new_terms: Mapping[int, Sequence[int]]
+    self_delta: Mapping[int, Sequence[IdTriple]]
+    self_old: Mapping[int, Sequence[IdTriple]]
 
 
-def _m_2a(ix, dx, ctx):
-    for t1 in dx.by_pred.get(_SP, ()):
-        for t2 in ix.by_sp.get((t1[2], _SP), ()):
-            yield (t1, t2), (t1[0], _SP, t2[2])
-    for t2 in dx.by_pred.get(_SP, ()):
-        for t1 in ix.by_po.get((_SP, t2[0]), ()):
-            yield (t1, t2), (t1[0], _SP, t2[2])
+def _transitive(q: int) -> _Matcher:
+    """2a, 3a: (A,q,B), (B,q,C) -> (A,q,C)."""
+
+    def match(ix, dx, ctx):
+        for t1 in dx.by_pred.get(q, ()):
+            for t2 in ix.by_sp.get((t1[2], q), ()):
+                yield (t1, t2), (t1[0], q, t2[2])
+        for t2 in dx.by_pred.get(q, ()):
+            for t1 in ix.by_po.get((q, t2[0]), ()):
+                yield (t1, t2), (t1[0], q, t2[2])
+
+    return match
 
 
 def _m_2b(ix, dx, ctx):
@@ -459,41 +465,6 @@ def _m_2b(ix, dx, ctx):
             yield (t1, t2), (t2[0], t1[2], t2[2])
 
 
-def _m_2c(ix, dx, ctx):
-    fresh = ctx.table.fresh
-    for t in dx.by_pred.get(_SP, ()):
-        nb, na = fresh[t[2]], fresh[t[0]]
-        if nb >= 0 and na >= 0:
-            yield (t,), (nb, _SP, na)
-
-
-def _m_2d(ix, dx, ctx):
-    for t1 in dx.star_obj:
-        for t2 in ix.by_sp.get((t1[1], _SP), ()):
-            yield (t1, t2), (t1[0], t2[2], t1[2])
-    for t2 in dx.by_pred.get(_SP, ()):
-        for t1 in ix.star_obj_by_pred.get(t2[0], ()):
-            yield (t1, t2), (t1[0], t2[2], t1[2])
-
-
-def _m_2e(ix, dx, ctx):
-    for t1 in dx.star_subj:
-        for t2 in ix.by_sp.get((t1[1], _SP), ()):
-            yield (t1, t2), (t1[0], t2[2], t1[2])
-    for t2 in dx.by_pred.get(_SP, ()):
-        for t1 in ix.star_subj_by_pred.get(t2[0], ()):
-            yield (t1, t2), (t1[0], t2[2], t1[2])
-
-
-def _m_3a(ix, dx, ctx):
-    for t1 in dx.by_pred.get(_SC, ()):
-        for t2 in ix.by_sp.get((t1[2], _SC), ()):
-            yield (t1, t2), (t1[0], _SC, t2[2])
-    for t2 in dx.by_pred.get(_SC, ()):
-        for t1 in ix.by_po.get((_SC, t2[0]), ()):
-            yield (t1, t2), (t1[0], _SC, t2[2])
-
-
 def _m_3b(ix, dx, ctx):
     for t1 in dx.by_pred.get(_SC, ()):
         for t2 in ix.by_po.get((_TYPE, t1[0]), ()):
@@ -503,343 +474,264 @@ def _m_3b(ix, dx, ctx):
             yield (t1, t2), (t2[0], _TYPE, t1[2])
 
 
-def _m_3c(ix, dx, ctx):
-    fresh = ctx.table.fresh
-    for t in dx.by_pred.get(_SC, ()):
-        nb, na = fresh[t[2]], fresh[t[0]]
-        if nb >= 0 and na >= 0:
-            yield (t,), (nb, _SC, na)
+def _contrapositive(q: int) -> _Matcher:
+    """2c, 3c: (A,q,B) -> (!B,q,!A) for plain resources A and B."""
+
+    def match(ix, dx, ctx):
+        fresh = ctx.table.fresh
+        for t in dx.by_pred.get(q, ()):
+            nb, na = fresh[t[2]], fresh[t[0]]
+            if nb >= 0 and na >= 0:
+                yield (t,), (nb, q, na)
+
+    return match
 
 
-def _m_3d(ix, dx, ctx):
-    star, sub = ctx.table.star, ctx.table.sub
-    for t1 in dx.star_obj:
-        for t2 in ix.by_po.get((_SC, sub[t1[2]]), ()):
-            st = star[t2[0]]
-            if st >= 0:
-                yield (t1, t2), (t1[0], t1[1], st)
-    for t2 in dx.by_pred.get(_SC, ()):
-        for t1 in ix.star_obj_by_sub.get(t2[2], ()):
-            st = star[t2[0]]
-            if st >= 0:
-                yield (t1, t2), (t1[0], t1[1], st)
+def _star_lift(pos: int) -> _Matcher:
+    """2d, 2e: (A,D,B), (D,sp,E) -> (A,E,B) with a star at ``pos``."""
+
+    def match(ix, dx, ctx):
+        for t1 in dx.star[pos]:
+            for t2 in ix.by_sp.get((t1[1], _SP), ()):
+                yield (t1, t2), (t1[0], t2[2], t1[2])
+        starred = ix.star_by_pred[pos]
+        for t2 in dx.by_pred.get(_SP, ()):
+            for t1 in starred.get(t2[0], ()):
+                yield (t1, t2), (t1[0], t2[2], t1[2])
+
+    return match
 
 
-def _m_3e(ix, dx, ctx):
-    star, sub = ctx.table.star, ctx.table.sub
-    for t1 in dx.star_subj:
-        for t2 in ix.by_po.get((_SC, sub[t1[0]]), ()):
-            st = star[t2[0]]
-            if st >= 0:
-                yield (t1, t2), (st, t1[1], t1[2])
-    for t2 in dx.by_pred.get(_SC, ()):
-        for t1 in ix.star_subj_by_sub.get(t2[2], ()):
-            st = star[t2[0]]
-            if st >= 0:
-                yield (t1, t2), (st, t1[1], t1[2])
+def _star_sc(pos: int) -> _Matcher:
+    """3d, 3e: (C,sc,B) turns a star over B at ``pos`` into *C, as (A,D,*B) -> (A,D,*C)."""
+
+    def match(ix, dx, ctx):
+        star, sub = ctx.table.star, ctx.table.sub
+        for t1 in dx.star[pos]:
+            for t2 in ix.by_po.get((_SC, sub[t1[pos]]), ()):
+                st = star[t2[0]]
+                if st >= 0:
+                    yield (t1, t2), ((t1[0], t1[1], st) if pos == 2 else (st, t1[1], t1[2]))
+        starred = ix.star_by_sub[pos]
+        for t2 in dx.by_pred.get(_SC, ()):
+            for t1 in starred.get(t2[2], ()):
+                st = star[t2[0]]
+                if st >= 0:
+                    yield (t1, t2), ((t1[0], t1[1], st) if pos == 2 else (st, t1[1], t1[2]))
+
+    return match
 
 
-def _m_4a(ix, dx, ctx):
-    for t1 in dx.by_pred.get(_DOM, ()):
-        for t2 in ix.by_pred.get(t1[0], ()):
-            yield (t1, t2), (t2[0], _TYPE, t1[2])
-    for t2 in dx.all:
-        for t1 in ix.by_sp.get((t2[1], _DOM), ()):
-            yield (t1, t2), (t2[0], _TYPE, t1[2])
+def _typing(q: int, pos: int) -> _Matcher:
+    """4a, 4b: (D,q,B), (X,D,Y) -> (Z,type,B), Z at ``pos`` of (X,D,Y)."""
+
+    def match(ix, dx, ctx):
+        for t1 in dx.by_pred.get(q, ()):
+            for t2 in ix.by_pred.get(t1[0], ()):
+                yield (t1, t2), (t2[pos], _TYPE, t1[2])
+        for t2 in dx.all:
+            for t1 in ix.by_sp.get((t2[1], q), ()):
+                yield (t1, t2), (t2[pos], _TYPE, t1[2])
+
+    return match
 
 
-def _m_4b(ix, dx, ctx):
-    for t1 in dx.by_pred.get(_RANGE, ()):
-        for t2 in ix.by_pred.get(t1[0], ()):
-            yield (t1, t2), (t2[2], _TYPE, t1[2])
-    for t2 in dx.all:
-        for t1 in ix.by_sp.get((t2[1], _RANGE), ()):
-            yield (t1, t2), (t2[2], _TYPE, t1[2])
+def _neg_typing(q: int, pos: int) -> _Matcher:
+    """4c, 4d: (D,q,B), (X,type,!B), (Z,D,Y) -> (X,!D,Y) or (Z,!D,X), X at ``pos``."""
 
-
-def _m_4c(ix, dx, ctx):
-    # (D,dom,B), (X,type,!B), (Z,D,Y) -> (X,!D,Y)
-    neg = ctx.table.neg
-    for t1 in dx.by_pred.get(_DOM, ()):
-        nd, nb = neg[t1[0]], neg[t1[2]]
-        if nd < 0 or nb < 0:
-            continue
-        for t2 in ix.by_po.get((_TYPE, nb), ()):
-            for t3 in ix.by_pred.get(t1[0], ()):
-                yield (t1, t2, t3), (t2[0], nd, t3[2])
-    for t2 in dx.by_pred.get(_TYPE, ()):
-        b = neg[t2[2]]
-        if b < 0:
-            continue
-        for t1 in ix.by_po.get((_DOM, b), ()):
-            nd = neg[t1[0]]
-            if nd < 0:
-                continue
-            for t3 in ix.by_pred.get(t1[0], ()):
-                yield (t1, t2, t3), (t2[0], nd, t3[2])
-    for t3 in dx.all:
-        for t1 in ix.by_sp.get((t3[1], _DOM), ()):
+    def match(ix, dx, ctx):
+        neg = ctx.table.neg
+        for t1 in dx.by_pred.get(q, ()):
             nd, nb = neg[t1[0]], neg[t1[2]]
             if nd < 0 or nb < 0:
                 continue
             for t2 in ix.by_po.get((_TYPE, nb), ()):
-                yield (t1, t2, t3), (t2[0], nd, t3[2])
+                for t3 in ix.by_pred.get(t1[0], ()):
+                    yield (t1, t2, t3), ((t2[0], nd, t3[2]) if pos == 0 else (t3[0], nd, t2[0]))
+        for t2 in dx.by_pred.get(_TYPE, ()):
+            b = neg[t2[2]]
+            if b < 0:
+                continue
+            for t1 in ix.by_po.get((q, b), ()):
+                nd = neg[t1[0]]
+                if nd < 0:
+                    continue
+                for t3 in ix.by_pred.get(t1[0], ()):
+                    yield (t1, t2, t3), ((t2[0], nd, t3[2]) if pos == 0 else (t3[0], nd, t2[0]))
+        for t3 in dx.all:
+            for t1 in ix.by_sp.get((t3[1], q), ()):
+                nd, nb = neg[t1[0]], neg[t1[2]]
+                if nd < 0 or nb < 0:
+                    continue
+                for t2 in ix.by_po.get((_TYPE, nb), ()):
+                    yield (t1, t2, t3), ((t2[0], nd, t3[2]) if pos == 0 else (t3[0], nd, t2[0]))
+
+    return match
 
 
-def _m_4d(ix, dx, ctx):
-    # (D,range,B), (Y,type,!B), (X,D,Z) -> (X,!D,Y)
-    neg = ctx.table.neg
-    for t1 in dx.by_pred.get(_RANGE, ()):
-        nd, nb = neg[t1[0]], neg[t1[2]]
-        if nd < 0 or nb < 0:
-            continue
-        for t2 in ix.by_po.get((_TYPE, nb), ()):
-            for t3 in ix.by_pred.get(t1[0], ()):
-                yield (t1, t2, t3), (t3[0], nd, t2[0])
-    for t2 in dx.by_pred.get(_TYPE, ()):
-        b = neg[t2[2]]
-        if b < 0:
-            continue
-        for t1 in ix.by_po.get((_RANGE, b), ()):
-            nd = neg[t1[0]]
+def _star_type(pos: int) -> _Matcher:
+    """4e, 4f: (X,type,C) puts X for a star over C at ``pos``, as (A,D,*C) -> (A,D,X)."""
+
+    def match(ix, dx, ctx):
+        sub = ctx.table.sub
+        for t1 in dx.star[pos]:
+            for t2 in ix.by_po.get((_TYPE, sub[t1[pos]]), ()):
+                yield (t1, t2), ((t1[0], t1[1], t2[0]) if pos == 2 else (t2[0], t1[1], t1[2]))
+        starred = ix.star_by_sub[pos]
+        for t2 in dx.by_pred.get(_TYPE, ()):
+            for t1 in starred.get(t2[2], ()):
+                yield (t1, t2), ((t1[0], t1[1], t2[0]) if pos == 2 else (t2[0], t1[1], t1[2]))
+
+    return match
+
+
+def _star_neg(pos: int) -> _Matcher:
+    """4g: (A,D,*C), (A,!D,Y) -> (Y,type,!C); 4h: (*C,D,B), (X,!D,B) -> (X,type,!C)."""
+
+    def match(ix, dx, ctx):
+        neg, sub = ctx.table.neg, ctx.table.sub
+        pairs = ix.by_sp if pos == 2 else ix.by_po
+        for t1 in dx.star[pos]:
+            nd = neg[t1[1]]
             if nd < 0:
                 continue
-            for t3 in ix.by_pred.get(t1[0], ()):
-                yield (t1, t2, t3), (t3[0], nd, t2[0])
-    for t3 in dx.all:
-        for t1 in ix.by_sp.get((t3[1], _RANGE), ()):
-            nd, nb = neg[t1[0]], neg[t1[2]]
-            if nd < 0 or nb < 0:
+            for t2 in pairs.get((t1[0], nd) if pos == 2 else (nd, t1[2]), ()):
+                yield (t1, t2), (t2[pos], _TYPE, neg[sub[t1[pos]]])
+        for t2 in dx.all:
+            nd = neg[t2[1]]
+            if nd < 0:
                 continue
-            for t2 in ix.by_po.get((_TYPE, nb), ()):
-                yield (t1, t2, t3), (t3[0], nd, t2[0])
+            for t1 in pairs.get((t2[0], nd) if pos == 2 else (nd, t2[2]), ()):
+                if sub[t1[pos]] >= 0:
+                    yield (t1, t2), (t2[pos], _TYPE, neg[sub[t1[pos]]])
+
+    return match
 
 
-def _m_4e(ix, dx, ctx):
-    sub = ctx.table.sub
-    for t1 in dx.star_obj:
-        for t2 in ix.by_po.get((_TYPE, sub[t1[2]]), ()):
-            yield (t1, t2), (t1[0], t1[1], t2[0])
-    for t2 in dx.by_pred.get(_TYPE, ()):
-        for t1 in ix.star_obj_by_sub.get(t2[2], ()):
-            yield (t1, t2), (t1[0], t1[1], t2[0])
+def _sp_typing(q: int, pos: int) -> _Matcher:
+    """5a, 5b: (A,q,B), (D,sp,A), (X,D,Y) -> (Z,type,B), Z at ``pos`` of (X,D,Y)."""
+
+    def match(ix, dx, ctx):
+        for t1 in dx.by_pred.get(q, ()):
+            for t2 in ix.by_po.get((_SP, t1[0]), ()):
+                for t3 in ix.by_pred.get(t2[0], ()):
+                    yield (t1, t2, t3), (t3[pos], _TYPE, t1[2])
+        for t2 in dx.by_pred.get(_SP, ()):
+            for t1 in ix.by_sp.get((t2[2], q), ()):
+                for t3 in ix.by_pred.get(t2[0], ()):
+                    yield (t1, t2, t3), (t3[pos], _TYPE, t1[2])
+        for t3 in dx.all:
+            for t2 in ix.by_sp.get((t3[1], _SP), ()):
+                for t1 in ix.by_sp.get((t2[2], q), ()):
+                    yield (t1, t2, t3), (t3[pos], _TYPE, t1[2])
+
+    return match
 
 
-def _m_4f(ix, dx, ctx):
-    sub = ctx.table.sub
-    for t1 in dx.star_subj:
-        for t2 in ix.by_po.get((_TYPE, sub[t1[0]]), ()):
-            yield (t1, t2), (t2[0], t1[1], t1[2])
-    for t2 in dx.by_pred.get(_TYPE, ()):
-        for t1 in ix.star_subj_by_sub.get(t2[2], ()):
-            yield (t1, t2), (t2[0], t1[1], t1[2])
+def _symmetric(q: int) -> _Matcher:
+    """6a, 7a: (A,q,B) -> (B,q,A)."""
+
+    def match(ix, dx, ctx):
+        for t in dx.by_pred.get(q, ()):
+            yield (t,), (t[2], q, t[0])
+
+    return match
 
 
-def _m_4g(ix, dx, ctx):
-    # (A,D,*C), (A,!D,Y) -> (Y,type,!C)
-    neg, sub = ctx.table.neg, ctx.table.sub
-    for t1 in dx.star_obj:
-        nd = neg[t1[1]]
-        if nd < 0:
-            continue
-        for t2 in ix.by_sp.get((t1[0], nd), ()):
-            yield (t1, t2), (t2[2], _TYPE, neg[sub[t1[2]]])
-    for t2 in dx.all:
-        nd = neg[t2[1]]
-        if nd < 0:
-            continue
-        for t1 in ix.by_sp.get((t2[0], nd), ()):
-            if sub[t1[2]] >= 0:
-                yield (t1, t2), (t2[2], _TYPE, neg[sub[t1[2]]])
+def _disjoint_below(q: int, h: int) -> _Matcher:
+    """6b, 7b: (A,q,B), (C,h,A) -> (C,q,B) for the hierarchy ``h`` below ``q``."""
+
+    def match(ix, dx, ctx):
+        for t1 in dx.by_pred.get(q, ()):
+            for t2 in ix.by_po.get((h, t1[0]), ()):
+                yield (t1, t2), (t2[0], q, t1[2])
+        for t2 in dx.by_pred.get(h, ()):
+            for t1 in ix.by_sp.get((t2[2], q), ()):
+                yield (t1, t2), (t2[0], q, t1[2])
+
+    return match
 
 
-def _m_4h(ix, dx, ctx):
-    # (*C,D,B), (X,!D,B) -> (X,type,!C)
-    neg, sub = ctx.table.neg, ctx.table.sub
-    for t1 in dx.star_subj:
-        nd = neg[t1[1]]
-        if nd < 0:
-            continue
-        for t2 in ix.by_po.get((nd, t1[2]), ()):
-            yield (t1, t2), (t2[0], _TYPE, neg[sub[t1[0]]])
-    for t2 in dx.all:
-        nd = neg[t2[1]]
-        if nd < 0:
-            continue
-        for t1 in ix.by_po.get((nd, t2[2]), ()):
-            if sub[t1[0]] >= 0:
-                yield (t1, t2), (t2[0], _TYPE, neg[sub[t1[0]]])
+def _self_disjoint(q: int) -> _Matcher:
+    """6c, 7c: (A,q,A) -> (A,q,B) for every class (cdisj) or property (pdisj) term B."""
+
+    def match(ix, dx, ctx):
+        for t in ctx.self_delta[q]:
+            for b in ctx.terms[q]:
+                yield (t,), (t[0], q, b)
+        for t in ctx.self_old[q]:
+            for b in ctx.new_terms[q]:
+                yield (t,), (t[0], q, b)
+
+    return match
 
 
-def _m_5a(ix, dx, ctx):
-    # (A,dom,B), (D,sp,A), (X,D,Y) -> (X,type,B)
-    for t1 in dx.by_pred.get(_DOM, ()):
-        for t2 in ix.by_po.get((_SP, t1[0]), ()):
-            for t3 in ix.by_pred.get(t2[0], ()):
-                yield (t1, t2, t3), (t3[0], _TYPE, t1[2])
-    for t2 in dx.by_pred.get(_SP, ()):
-        for t1 in ix.by_sp.get((t2[2], _DOM), ()):
-            for t3 in ix.by_pred.get(t2[0], ()):
-                yield (t1, t2, t3), (t3[0], _TYPE, t1[2])
-    for t3 in dx.all:
-        for t2 in ix.by_sp.get((t3[1], _SP), ()):
-            for t1 in ix.by_sp.get((t2[2], _DOM), ()):
-                yield (t1, t2, t3), (t3[0], _TYPE, t1[2])
+def _fresh(q: int, r: int) -> _Matcher:
+    """6d, 6e, 7d, 7e: (A,q,B) -> (A,r,!B) for a plain resource B."""
+
+    def match(ix, dx, ctx):
+        fresh = ctx.table.fresh
+        for t in dx.by_pred.get(q, ()):
+            nb = fresh[t[2]]
+            if nb >= 0:
+                yield (t,), (t[0], r, nb)
+
+    return match
 
 
-def _m_5b(ix, dx, ctx):
-    for t1 in dx.by_pred.get(_RANGE, ()):
-        for t2 in ix.by_po.get((_SP, t1[0]), ()):
-            for t3 in ix.by_pred.get(t2[0], ()):
-                yield (t1, t2, t3), (t3[2], _TYPE, t1[2])
-    for t2 in dx.by_pred.get(_SP, ()):
-        for t1 in ix.by_sp.get((t2[2], _RANGE), ()):
-            for t3 in ix.by_pred.get(t2[0], ()):
-                yield (t1, t2, t3), (t3[2], _TYPE, t1[2])
-    for t3 in dx.all:
-        for t2 in ix.by_sp.get((t3[1], _SP), ()):
-            for t1 in ix.by_sp.get((t2[2], _RANGE), ()):
-                yield (t1, t2, t3), (t3[2], _TYPE, t1[2])
+def _disjoint_typing(q: int) -> _Matcher:
+    """8a, 8b: (A,q,C), (B,q,D), (C,cdisj,D) -> (A,pdisj,B)."""
 
+    def match(ix, dx, ctx):
+        for t1 in dx.by_pred.get(q, ()):
+            for t3 in ix.by_sp.get((t1[2], _BOTC), ()):
+                for t2 in ix.by_po.get((q, t3[2]), ()):
+                    yield (t1, t2, t3), (t1[0], _BOTP, t2[0])
+        for t2 in dx.by_pred.get(q, ()):
+            for t3 in ix.by_po.get((_BOTC, t2[2]), ()):
+                for t1 in ix.by_po.get((q, t3[0]), ()):
+                    yield (t1, t2, t3), (t1[0], _BOTP, t2[0])
+        for t3 in dx.by_pred.get(_BOTC, ()):
+            for t1 in ix.by_po.get((q, t3[0]), ()):
+                for t2 in ix.by_po.get((q, t3[2]), ()):
+                    yield (t1, t2, t3), (t1[0], _BOTP, t2[0])
 
-def _m_6a(ix, dx, ctx):
-    for t in dx.by_pred.get(_BOTC, ()):
-        yield (t,), (t[2], _BOTC, t[0])
-
-
-def _m_6b(ix, dx, ctx):
-    for t1 in dx.by_pred.get(_BOTC, ()):
-        for t2 in ix.by_po.get((_SC, t1[0]), ()):
-            yield (t1, t2), (t2[0], _BOTC, t1[2])
-    for t2 in dx.by_pred.get(_SC, ()):
-        for t1 in ix.by_sp.get((t2[2], _BOTC), ()):
-            yield (t1, t2), (t2[0], _BOTC, t1[2])
-
-
-def _m_6c(ix, dx, ctx):
-    for t in ctx.self_botc_delta:
-        for b in ctx.class_terms:
-            yield (t,), (t[0], _BOTC, b)
-    for t in ctx.self_botc_old:
-        for b in ctx.new_class_terms:
-            yield (t,), (t[0], _BOTC, b)
-
-
-def _m_6d(ix, dx, ctx):
-    for t in dx.by_pred.get(_BOTC, ()):
-        nb = ctx.table.fresh[t[2]]
-        if nb >= 0:
-            yield (t,), (t[0], _SC, nb)
-
-
-def _m_6e(ix, dx, ctx):
-    for t in dx.by_pred.get(_SC, ()):
-        nb = ctx.table.fresh[t[2]]
-        if nb >= 0:
-            yield (t,), (t[0], _BOTC, nb)
-
-
-def _m_7a(ix, dx, ctx):
-    for t in dx.by_pred.get(_BOTP, ()):
-        yield (t,), (t[2], _BOTP, t[0])
-
-
-def _m_7b(ix, dx, ctx):
-    for t1 in dx.by_pred.get(_BOTP, ()):
-        for t2 in ix.by_po.get((_SP, t1[0]), ()):
-            yield (t1, t2), (t2[0], _BOTP, t1[2])
-    for t2 in dx.by_pred.get(_SP, ()):
-        for t1 in ix.by_sp.get((t2[2], _BOTP), ()):
-            yield (t1, t2), (t2[0], _BOTP, t1[2])
-
-
-def _m_7c(ix, dx, ctx):
-    for t in ctx.self_botp_delta:
-        for b in ctx.property_terms:
-            yield (t,), (t[0], _BOTP, b)
-    for t in ctx.self_botp_old:
-        for b in ctx.new_property_terms:
-            yield (t,), (t[0], _BOTP, b)
-
-
-def _m_7d(ix, dx, ctx):
-    for t in dx.by_pred.get(_BOTP, ()):
-        nb = ctx.table.fresh[t[2]]
-        if nb >= 0:
-            yield (t,), (t[0], _SP, nb)
-
-
-def _m_7e(ix, dx, ctx):
-    for t in dx.by_pred.get(_SP, ()):
-        nb = ctx.table.fresh[t[2]]
-        if nb >= 0:
-            yield (t,), (t[0], _BOTP, nb)
-
-
-def _m_8a(ix, dx, ctx):
-    # (A,dom,C), (B,dom,D), (C,botc,D) -> (A,botp,B)
-    for t1 in dx.by_pred.get(_DOM, ()):
-        for t3 in ix.by_sp.get((t1[2], _BOTC), ()):
-            for t2 in ix.by_po.get((_DOM, t3[2]), ()):
-                yield (t1, t2, t3), (t1[0], _BOTP, t2[0])
-    for t2 in dx.by_pred.get(_DOM, ()):
-        for t3 in ix.by_po.get((_BOTC, t2[2]), ()):
-            for t1 in ix.by_po.get((_DOM, t3[0]), ()):
-                yield (t1, t2, t3), (t1[0], _BOTP, t2[0])
-    for t3 in dx.by_pred.get(_BOTC, ()):
-        for t1 in ix.by_po.get((_DOM, t3[0]), ()):
-            for t2 in ix.by_po.get((_DOM, t3[2]), ()):
-                yield (t1, t2, t3), (t1[0], _BOTP, t2[0])
-
-
-def _m_8b(ix, dx, ctx):
-    for t1 in dx.by_pred.get(_RANGE, ()):
-        for t3 in ix.by_sp.get((t1[2], _BOTC), ()):
-            for t2 in ix.by_po.get((_RANGE, t3[2]), ()):
-                yield (t1, t2, t3), (t1[0], _BOTP, t2[0])
-    for t2 in dx.by_pred.get(_RANGE, ()):
-        for t3 in ix.by_po.get((_BOTC, t2[2]), ()):
-            for t1 in ix.by_po.get((_RANGE, t3[0]), ()):
-                yield (t1, t2, t3), (t1[0], _BOTP, t2[0])
-    for t3 in dx.by_pred.get(_BOTC, ()):
-        for t1 in ix.by_po.get((_RANGE, t3[0]), ()):
-            for t2 in ix.by_po.get((_RANGE, t3[2]), ()):
-                yield (t1, t2, t3), (t1[0], _BOTP, t2[0])
+    return match
 
 
 _MATCHERS: Dict[RuleId, _Matcher] = {
-    RuleId.R2A: _m_2a,
+    RuleId.R2A: _transitive(_SP),
     RuleId.R2B: _m_2b,
-    RuleId.R2C: _m_2c,
-    RuleId.R2D: _m_2d,
-    RuleId.R2E: _m_2e,
-    RuleId.R3A: _m_3a,
+    RuleId.R2C: _contrapositive(_SP),
+    RuleId.R2D: _star_lift(2),
+    RuleId.R2E: _star_lift(0),
+    RuleId.R3A: _transitive(_SC),
     RuleId.R3B: _m_3b,
-    RuleId.R3C: _m_3c,
-    RuleId.R3D: _m_3d,
-    RuleId.R3E: _m_3e,
-    RuleId.R4A: _m_4a,
-    RuleId.R4B: _m_4b,
-    RuleId.R4C: _m_4c,
-    RuleId.R4D: _m_4d,
-    RuleId.R4E: _m_4e,
-    RuleId.R4F: _m_4f,
-    RuleId.R4G: _m_4g,
-    RuleId.R4H: _m_4h,
-    RuleId.R5A: _m_5a,
-    RuleId.R5B: _m_5b,
-    RuleId.R6A: _m_6a,
-    RuleId.R6B: _m_6b,
-    RuleId.R6C: _m_6c,
-    RuleId.R6D: _m_6d,
-    RuleId.R6E: _m_6e,
-    RuleId.R7A: _m_7a,
-    RuleId.R7B: _m_7b,
-    RuleId.R7C: _m_7c,
-    RuleId.R7D: _m_7d,
-    RuleId.R7E: _m_7e,
-    RuleId.R8A: _m_8a,
-    RuleId.R8B: _m_8b,
+    RuleId.R3C: _contrapositive(_SC),
+    RuleId.R3D: _star_sc(2),
+    RuleId.R3E: _star_sc(0),
+    RuleId.R4A: _typing(_DOM, 0),
+    RuleId.R4B: _typing(_RANGE, 2),
+    RuleId.R4C: _neg_typing(_DOM, 0),
+    RuleId.R4D: _neg_typing(_RANGE, 2),
+    RuleId.R4E: _star_type(2),
+    RuleId.R4F: _star_type(0),
+    RuleId.R4G: _star_neg(2),
+    RuleId.R4H: _star_neg(0),
+    RuleId.R5A: _sp_typing(_DOM, 0),
+    RuleId.R5B: _sp_typing(_RANGE, 2),
+    RuleId.R6A: _symmetric(_BOTC),
+    RuleId.R6B: _disjoint_below(_BOTC, _SC),
+    RuleId.R6C: _self_disjoint(_BOTC),
+    RuleId.R6D: _fresh(_BOTC, _SC),
+    RuleId.R6E: _fresh(_SC, _BOTC),
+    RuleId.R7A: _symmetric(_BOTP),
+    RuleId.R7B: _disjoint_below(_BOTP, _SP),
+    RuleId.R7C: _self_disjoint(_BOTP),
+    RuleId.R7D: _fresh(_BOTP, _SP),
+    RuleId.R7E: _fresh(_SP, _BOTP),
+    RuleId.R8A: _disjoint_typing(_DOM),
+    RuleId.R8B: _disjoint_typing(_RANGE),
 }
 
 
@@ -862,17 +754,21 @@ def instantiate(rule: RuleId, g: Graph, domains: Optional[Domains] = None) -> Li
     table = TermTable()
     triples = {table.encode(t): t for t in g}
     ix = TripleIndex(table, triples)
+    empty = {_BOTC: (), _BOTP: ()}
     ctx = _RoundContext(
         table,
-        class_terms=[table.intern(c) for c in sorted(domains.class_terms, key=repr)],
-        property_terms=[table.intern(p) for p in sorted(domains.property_terms, key=repr)],
-        self_botc_delta=[k for k in triples if k[0] == k[2] and k[1] == _BOTC],
-        self_botp_delta=[k for k in triples if k[0] == k[2] and k[1] == _BOTP],
+        terms={
+            _BOTC: [table.intern(c) for c in sorted(domains.class_terms, key=repr)],
+            _BOTP: [table.intern(p) for p in sorted(domains.property_terms, key=repr)],
+        },
+        new_terms=empty,
+        self_delta={q: [k for k in triples if k[0] == k[2] and k[1] == q] for q in (_BOTC, _BOTP)},
+        self_old=empty,
     )
     steps: List[ProofStep] = []
     seen: Set[Tuple[Tuple[IdTriple, ...], IdTriple]] = set()
     terms = table.terms
-    for premises, key in _MATCHERS[rule](ix, ix, ctx):
+    for premises, key in _MATCHERS[rule](ix, _Delta(list(triples), table), ctx):
         if key in triples or not table.valid(*key) or (premises, key) in seen:
             continue
         seen.add((premises, key))
@@ -896,8 +792,8 @@ class _Engine:
         self.fires: Dict[str, int] = {r.value: 0 for r in self.rules}
         self.candidates: Dict[str, int] = dict.fromkeys(self.fires, 0)
         self.round_deltas: List[int] = []
-        self.self_botc: List[IdTriple] = []
-        self.self_botp: List[IdTriple] = []
+        # The self-disjointness statements, by predicate, for 6c/7c.
+        self.self_disjoint: Dict[int, List[IdTriple]] = {_BOTC: [], _BOTP: []}
         for t in g:
             key = self.table.encode(t)
             self.triples[key] = t
@@ -908,41 +804,32 @@ class _Engine:
     def _install(self, key: IdTriple) -> None:
         self.index.add(key)
         self.tracker.add_triple(key)
-        if key[0] == key[2]:
-            if key[1] == _BOTC:
-                self.self_botc.append(key)
-            elif key[1] == _BOTP:
-                self.self_botp.append(key)
+        if key[0] == key[2] and key[1] in self.self_disjoint:
+            self.self_disjoint[key[1]].append(key)
 
     def run(self) -> int:
         table, triples, tracker = self.table, self.triples, self.tracker
         terms, valid = table.terms, table.valid
         iterations = 0
         delta = list(triples)  # the input, all installed so far
-        prev_classes: Set[int] = set()
-        prev_props: Set[int] = set()
-        old_botc = old_botp = 0
+        domains = {_BOTC: tracker.class_terms, _BOTP: tracker.property_terms}
+        known: Dict[int, Set[int]] = {q: set() for q in domains}
+        old = dict.fromkeys(domains, 0)
         while delta:
             iterations += 1
             dx = _Delta(delta, table)
-            classes = sorted(tracker.class_terms, key=lambda x: repr(terms[x]))
-            props = sorted(tracker.property_terms, key=lambda x: repr(terms[x]))
+            now = {q: sorted(d, key=lambda x: repr(terms[x])) for q, d in domains.items()}
             ctx = _RoundContext(
                 table,
-                class_terms=classes,
-                property_terms=props,
-                new_class_terms=[c for c in classes if c not in prev_classes],
-                new_property_terms=[p for p in props if p not in prev_props],
+                terms=now,
+                new_terms={q: [x for x in now[q] if x not in known[q]] for q in now},
                 # The delta was installed last, so its self-disjointness
                 # statements are the tails of the two lists.
-                self_botc_delta=self.self_botc[old_botc:],
-                self_botc_old=self.self_botc[:old_botc],
-                self_botp_delta=self.self_botp[old_botp:],
-                self_botp_old=self.self_botp[:old_botp],
+                self_delta={q: s[old[q]:] for q, s in self.self_disjoint.items()},
+                self_old={q: s[:old[q]] for q, s in self.self_disjoint.items()},
             )
-            old_botc, old_botp = len(self.self_botc), len(self.self_botp)
-            prev_classes = set(classes)
-            prev_props = set(props)
+            old = {q: len(s) for q, s in self.self_disjoint.items()}
+            known = {q: set(xs) for q, xs in now.items()}
             delta, pending = [], []
             for rule in self.rules:
                 listed = 0

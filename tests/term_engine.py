@@ -609,6 +609,7 @@ class _Engine:
         self.tracker = _DomainTracker()
         self.provenance: Dict[Triple, ProofStep] = {}
         self.fires: Dict[str, int] = {r.value: 0 for r in self.rules}
+        self.candidates: Dict[str, int] = dict.fromkeys(self.fires, 0)
         self.self_botc: List[Triple] = []
         self.self_botp: List[Triple] = []
         self.pending: List[ProofStep] = []
@@ -669,6 +670,7 @@ class _Engine:
             self.pending = []
             for rule in self.rules:
                 for premises, s, p, o in _MATCHERS[rule](self.index, dx, ctx):
+                    self.candidates[rule.value] += 1
                     self._emit(rule, premises, s, p, o)
             for step in self.pending:
                 self._install(step.conclusion)
@@ -684,6 +686,7 @@ class TermClosure:
     order: Tuple[Triple, ...]
     provenance: Tuple[Tuple[Triple, ProofStep], ...]
     fires: Dict[str, int]
+    candidates: Dict[str, int]
     iterations: int
     class_terms: FrozenSet[Term]
     property_terms: FrozenSet[Term]
@@ -697,6 +700,7 @@ def term_closure(g: Graph, mode: str = "full", cap: Optional[int] = None) -> Ter
         order=tuple(engine.index.all),
         provenance=tuple(engine.provenance.items()),
         fires=dict(engine.fires),
+        candidates=dict(engine.candidates),
         iterations=iterations,
         class_terms=frozenset(engine.tracker.class_terms),
         property_terms=frozenset(engine.tracker.property_terms),

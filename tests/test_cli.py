@@ -195,7 +195,7 @@ class TestDiagnostics:
         assert "error:" in capsys.readouterr().err
 
     def test_internal_error_has_its_own_code(self, capsys, monkeypatch):
-        def broken(args, cfg):
+        def broken(args):
             raise RuntimeError("broken on purpose")
 
         monkeypatch.setattr(cli, "cmd_close", broken)
@@ -206,7 +206,7 @@ class TestDiagnostics:
         assert "RuntimeError: broken on purpose" in captured.err
 
     def test_internal_value_error_is_not_a_usage_error(self, capsys, monkeypatch):
-        def broken(args, cfg):
+        def broken(args):
             raise ValueError("broken on purpose")
 
         monkeypatch.setattr(cli, "cmd_close", broken)

@@ -129,10 +129,13 @@ class TestTripleValidity:
 class TestGraph:
     def test_deduplication_and_membership(self):
         t = Triple(A, B, C)
-        g = Graph([t, t, Triple(A, SC, B)])
+        g = Graph([t, t, Triple(A, SC, B), t])
         assert len(g) == 2
+        assert tuple(g) == (t, Triple(A, SC, B))
         assert t in g
         assert Triple(C, B, A) not in g
+        with pytest.raises(TypeError):
+            Graph([t, "x"])
 
     def test_equality_ignores_order(self):
         t1, t2 = Triple(A, B, C), Triple(A, SC, B)

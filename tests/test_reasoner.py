@@ -251,7 +251,8 @@ def oracle_inputs():
 
 class TestTermEngineOracle:
     """The closure engine over term ids against the engine over terms
-    (``tests/term_engine.py``): same order, provenance and counts."""
+    (``tests/term_engine.py``): same order, provenance and counts,
+    the candidates each rule listed included."""
 
     @pytest.mark.parametrize("mode", ["rdf", "full"])
     def test_id_engine_matches_the_term_engine(self, mode):
@@ -262,6 +263,7 @@ class TestTermEngineOracle:
                 tuple(got.closure) != want.order
                 or tuple(got.provenance.items()) != want.provenance
                 or got.stats.rule_fire_counts != want.fires
+                or got.stats.rule_candidates != want.candidates
                 or got.stats.iterations != want.iterations
                 or got.class_terms != want.class_terms
                 or got.property_terms != want.property_terms
