@@ -117,11 +117,6 @@ PLAIN_VOCAB: FrozenSet[Iri] = frozenset({SP, SC, TYPE, DOM, RANGE})
 RESERVED_VOCAB: FrozenSet[Iri] = PLAIN_VOCAB | {BOTC, BOTP}
 
 
-def in_plain_vocab(t: Term) -> bool:
-    """True for the five RDFS-style reserved names."""
-    return isinstance(t, Iri) and t.name in ("sp", "sc", "type", "dom", "range")
-
-
 def is_reserved(t: Term) -> bool:
     """True for any of the seven reserved names."""
     return isinstance(t, Iri) and t.name in _RESERVED_NAMES

@@ -18,17 +18,19 @@ Syntax summary::
   accepted on input but never produced,
 * every statement ends with ``.`` and several statements may share a line.
 
-Errors never abort the scan.  Each malformed statement is reported with a
-1-based line and column and the parser resumes at the next ``.`` or the
-next line, whichever comes first, so a file with k bad lines produces at
-least k diagnostics.
+Since statements never span lines, the reader works one line at a time:
+one token regex splits a line into tokens and a statement loop builds
+triples from them.  Errors never abort the scan.  Each malformed
+statement is reported with a 1-based line and column, and reading
+resumes right after its ``.`` or at the next line, whichever comes
+first, so a file with k bad lines produces at least k diagnostics.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple, Union
 
 from .core import (
     Blank,
@@ -81,132 +83,89 @@ class GraphParseError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Lexer
+# Reader
 # ---------------------------------------------------------------------------
 
-# Token kinds: DOT, BANG, STAR, and the term bases IRI, LITERAL, BLANK.
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    value: str
-    span: SourceSpan
+# One alternative per token shape, tried in order at each position.  The
+# unterminated forms and the single-character catch-all come after the
+# well-formed ones, so every character of a line starts some match.
+_TOKEN = re.compile(
+    rf"""(?P<skip>[ \t\r]+|\#.*)
+      | (?P<dot>\.)
+      | (?P<prefix>[!¬*⋆])
+      | <(?P<iri>[^>]*)>
+      | (?P<open_iri><.*)
+      | "(?P<literal>(?:[^"\\]|\\.)*)"
+      | "(?P<open_literal>.*)
+      | _:(?P<blank>{BLANK_LABEL.pattern})
+      | (?P<name>{BARE_NAME.pattern})
+      | (?P<other>.)""",
+    re.VERBOSE,
+)
+_ESCAPE = re.compile(r"\\(.?)")
+
+# A token is ".", "!", "*" or a base term, paired with the span it starts at.
+_Spanned = Tuple[object, SourceSpan]
 
 
-def _lex(text: str) -> Tuple[List[_Token], List[ParseError]]:
-    tokens: List[_Token] = []
-    errors: List[ParseError] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        pos = 0
-        n = len(line)
-        while pos < n:
-            c = line[pos]
-            span = SourceSpan(lineno, pos + 1)
-            if c in " \t\r":
-                pos += 1
-            elif c == "#":
-                break
-            elif c == ".":
-                tokens.append(_Token("DOT", ".", span))
-                pos += 1
-            elif c in "!¬":
-                tokens.append(_Token("BANG", "!", span))
-                pos += 1
-            elif c in "*⋆":
-                tokens.append(_Token("STAR", "*", span))
-                pos += 1
-            elif c == "<":
-                end = line.find(">", pos + 1)
-                if end < 0:
-                    errors.append(ParseError("unterminated IRI reference", span, "lexical"))
-                    pos = n
-                else:
-                    name = line[pos + 1 : end]
-                    if not name:
-                        errors.append(ParseError("empty IRI reference", span, "lexical"))
-                    else:
-                        tokens.append(_Token("IRI", name, span))
-                    pos = end + 1
-            elif c == '"':
-                chunk: List[str] = []
-                pos += 1
-                closed = False
-                while pos < n:
-                    ch = line[pos]
-                    if ch == "\\":
-                        if pos + 1 < n and line[pos + 1] in '"\\':
-                            chunk.append(line[pos + 1])
-                            pos += 2
-                        else:
-                            errors.append(
-                                ParseError(
-                                    "unsupported escape in literal (only \\\" and \\\\ exist)",
-                                    SourceSpan(lineno, pos + 1),
-                                    "lexical",
-                                )
-                            )
-                            pos += 2
-                    elif ch == '"':
-                        closed = True
-                        pos += 1
-                        break
-                    else:
-                        chunk.append(ch)
-                        pos += 1
-                if closed:
-                    tokens.append(_Token("LITERAL", "".join(chunk), span))
-                else:
-                    errors.append(ParseError("unterminated literal", span, "lexical"))
-            elif c == "_":
-                m = BLANK_LABEL.match(line, pos + 2) if line.startswith("_:", pos) else None
-                if m is None:
-                    errors.append(ParseError("malformed blank node label", span, "lexical"))
-                    pos += 1
-                else:
-                    tokens.append(_Token("BLANK", m.group(0), span))
-                    pos = m.end()
+def _unescape(body: str, lineno: int, column: int, errors: List[ParseError]) -> str:
+    """Resolve the escapes of a literal body that starts at ``column``;
+    a bad escape is reported at its backslash and its character dropped."""
+
+    def resolve(m: re.Match) -> str:
+        if m.group(1) and m.group(1) in '"\\':
+            return m.group(1)
+        message = "unsupported escape in literal (only \\\" and \\\\ exist)"
+        errors.append(ParseError(message, SourceSpan(lineno, column + m.start()), "lexical"))
+        return ""
+
+    return _ESCAPE.sub(resolve, body)
+
+
+def _tokens(lineno: int, line: str, errors: List[ParseError]) -> Iterator[_Spanned]:
+    """The tokens of one line; lexical errors go to ``errors``."""
+    for m in _TOKEN.finditer(line):
+        kind = m.lastgroup
+        if kind == "skip":
+            continue
+        span = SourceSpan(lineno, m.start() + 1)
+        if kind == "name":
+            yield Iri(m.group(kind)), span
+        elif kind == "dot":
+            yield ".", span
+        elif kind == "prefix":
+            yield ("!" if m.group(kind) in "!¬" else "*"), span
+        elif kind == "literal":
+            yield Literal(_unescape(m.group(kind), lineno, m.start(kind) + 1, errors)), span
+        elif kind == "blank":
+            yield Blank(m.group(kind)), span
+        elif kind == "iri":
+            if m.group(kind):
+                yield Iri(m.group(kind)), span
             else:
-                m = BARE_NAME.match(line, pos)
-                if m is None:
-                    errors.append(ParseError(f"unexpected character {c!r}", span, "lexical"))
-                    pos += 1
-                else:
-                    tokens.append(_Token("IRI", m.group(0), span))
-                    pos = m.end()
-    return tokens, errors
+                errors.append(ParseError("empty IRI reference", span, "lexical"))
+        elif kind == "open_iri":
+            errors.append(ParseError("unterminated IRI reference", span, "lexical"))
+        elif kind == "open_literal":
+            _unescape(m.group(kind), lineno, m.start(kind) + 1, errors)
+            errors.append(ParseError("unterminated literal", span, "lexical"))
+        elif m.group(kind) == "_":
+            errors.append(ParseError("malformed blank node label", span, "lexical"))
+        else:
+            errors.append(ParseError(f"unexpected character {m.group(kind)!r}", span, "lexical"))
 
 
-# ---------------------------------------------------------------------------
-# Statement assembly
-# ---------------------------------------------------------------------------
-
-
-def _base_term(tok: _Token) -> Term:
-    if tok.kind == "IRI":
-        return Iri(tok.value)
-    if tok.kind == "LITERAL":
-        return Literal(tok.value)
-    return Blank(tok.value)
-
-
-def _apply_prefixes(base: Term, prefixes: List[_Token]) -> Tuple[Optional[Term], Optional[ParseError]]:
+def _apply_prefixes(base: Term, prefixes: List[_Spanned]) -> Union[Term, ParseError]:
     # Innermost prefix (closest to the base) applies first.
     term = base
-    for tok in reversed(prefixes):
-        if tok.kind == "STAR":
-            if not isinstance(term, (Iri, Neg)):
-                return None, ParseError(
-                    "star subscript must be an IRI or negated IRI", tok.span, "validation"
-                )
-            try:
-                term = Star(term)
-            except ValueError as exc:
-                return None, ParseError(str(exc), tok.span, "validation")
-        else:
-            try:
-                term = negate(term)
-            except ValueError as exc:
-                return None, ParseError(str(exc), tok.span, "validation")
-    return term, None
+    for prefix, span in reversed(prefixes):
+        if prefix == "*" and not isinstance(term, (Iri, Neg)):
+            return ParseError("star subscript must be an IRI or negated IRI", span, "validation")
+        try:
+            term = Star(term) if prefix == "*" else negate(term)
+        except ValueError as exc:
+            return ParseError(str(exc), span, "validation")
+    return term
 
 
 _VIOLATION_TEXT = {
@@ -217,81 +176,16 @@ _VIOLATION_TEXT = {
 }
 
 
-class _Parser:
-    def __init__(self, tokens: List[_Token]):
-        self.tokens = tokens
-        self.pos = 0
-        self.errors: List[ParseError] = []
-        self.triples: List[Triple] = []
-
-    def run(self) -> None:
-        while self.pos < len(self.tokens):
-            self._statement()
-
-    def _fail(self, err: ParseError) -> None:
-        """Record a diagnostic, then resume at the next '.' or the next line."""
-        self.errors.append(err)
-        while self.pos < len(self.tokens):
-            tok = self.tokens[self.pos]
-            if tok.span.line > err.span.line:
-                return
-            self.pos += 1
-            if tok.kind == "DOT":
-                return
-
-    def _statement(self) -> None:
-        terms: List[Tuple[Term, SourceSpan]] = []
-        prefixes: List[_Token] = []
-        last_span: Optional[SourceSpan] = None
-        while self.pos < len(self.tokens):
-            tok = self.tokens[self.pos]
-            if last_span is not None and tok.span.line > last_span.line:
-                # Statements never span lines, so an open one ends here.
-                self.errors.append(
-                    ParseError("statement is missing its terminating '.'", last_span, "structural")
-                )
-                return
-            last_span = tok.span
-            if tok.kind == "DOT":
-                self.pos += 1
-                if prefixes:
-                    self._fail(ParseError("prefix without a following term", tok.span, "structural"))
-                    return
-                self._finish(terms, tok.span)
-                return
-            if tok.kind in ("BANG", "STAR"):
-                prefixes.append(tok)
-                self.pos += 1
-                continue
-            self.pos += 1
-            term, err = _apply_prefixes(_base_term(tok), prefixes)
-            if err is not None:
-                self._fail(err)
-                return
-            span = prefixes[0].span if prefixes else tok.span
-            prefixes = []
-            assert term is not None
-            terms.append((term, span))
-        if terms or prefixes:
-            last = self.tokens[-1]
-            self.errors.append(
-                ParseError("statement is missing its terminating '.'", last.span, "structural")
-            )
-
-    def _finish(self, terms: List[Tuple[Term, SourceSpan]], dot_span: SourceSpan) -> None:
-        if len(terms) != 3:
-            self.errors.append(
-                ParseError(
-                    f"expected 3 terms before '.', found {len(terms)}", dot_span, "structural"
-                )
-            )
-            return
-        (s, span), (p, _), (o, _) = terms
-        try:
-            self.triples.append(Triple(s, p, o))
-        except InvalidTripleError as exc:
-            for code in exc.violations:
-                self.errors.append(ParseError(_VIOLATION_TEXT[code], span, "validation"))
+def _finish(terms: List[_Spanned], dot: SourceSpan, triples: List[Triple], errors: List[ParseError]) -> None:
+    if len(terms) != 3:
+        errors.append(ParseError(f"expected 3 terms before '.', found {len(terms)}", dot, "structural"))
+        return
+    (s, span), (p, _), (o, _) = terms
+    try:
+        triples.append(Triple(s, p, o))
+    except InvalidTripleError as exc:
+        for code in exc.violations:
+            errors.append(ParseError(_VIOLATION_TEXT[code], span, "validation"))
 
 
 # ---------------------------------------------------------------------------
@@ -301,13 +195,39 @@ class _Parser:
 
 def parse_graph_lenient(text: str) -> Tuple[Graph, List[ParseError]]:
     """Parse as much as possible, returning the good triples and all errors."""
-    tokens, lex_errors = _lex(text)
-    parser = _Parser(tokens)
-    parser.run()
-    errors = sorted(
-        lex_errors + parser.errors, key=lambda e: (e.span.line, e.span.column)
-    )
-    return Graph(parser.triples), errors
+    triples: List[Triple] = []
+    lex_errors: List[ParseError] = []
+    errors: List[ParseError] = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        terms: List[_Spanned] = []  # the open statement's terms, spanned from their first prefix
+        prefixes: List[_Spanned] = []  # prefixes still waiting for their base term
+        last: Optional[SourceSpan] = None  # the open statement's last token
+        skipping = False  # after a bad term, until the statement's '.'
+        for token, span in _tokens(lineno, line, lex_errors):
+            if skipping:
+                skipping = token != "."
+            elif isinstance(token, Term):
+                term = _apply_prefixes(token, prefixes)
+                if isinstance(term, ParseError):
+                    errors.append(term)
+                    terms, prefixes, last, skipping = [], [], None, True
+                else:
+                    terms.append((term, prefixes[0][1] if prefixes else span))
+                    prefixes, last = [], span
+            elif token == ".":
+                if prefixes:
+                    errors.append(ParseError("prefix without a following term", span, "structural"))
+                else:
+                    _finish(terms, span, triples, errors)
+                terms, prefixes, last = [], [], None
+            else:
+                prefixes.append((token, span))
+                last = span
+        if last is not None:
+            errors.append(ParseError("statement is missing its terminating '.'", last, "structural"))
+    # A lexical error sorts before a statement's error at the same place.
+    errors = sorted(lex_errors + errors, key=lambda e: (e.span.line, e.span.column))
+    return Graph(triples), errors
 
 
 def parse_graph(text: str) -> Graph:
@@ -320,21 +240,15 @@ def parse_graph(text: str) -> Graph:
 
 def parse_term(text: str) -> Term:
     """Parse a single term, as it would appear inside a statement."""
-    tokens, lex_errors = _lex(text)
-    if lex_errors:
-        raise ValueError(str(lex_errors[0]))
-    prefixes = [t for t in tokens if t.kind in ("BANG", "STAR")]
-    bases = [t for t in tokens if t.kind not in ("BANG", "STAR")]
-    if (
-        len(bases) != 1
-        or bases[0].kind not in ("IRI", "LITERAL", "BLANK")
-        or prefixes != tokens[: len(prefixes)]
-    ):
+    errors: List[ParseError] = []
+    tokens = [tok for n, line in enumerate(text.splitlines(), start=1) for tok in _tokens(n, line, errors)]
+    if errors:
+        raise ValueError(str(errors[0]))
+    if not tokens or not isinstance(tokens[-1][0], Term) or any(t not in ("!", "*") for t, _ in tokens[:-1]):
         raise ValueError(f"expected exactly one term, got {text!r}")
-    term, err = _apply_prefixes(_base_term(bases[0]), prefixes)
-    if err is not None:
-        raise ValueError(str(err))
-    assert term is not None
+    term = _apply_prefixes(tokens[-1][0], tokens[:-1])
+    if isinstance(term, ParseError):
+        raise ValueError(str(term))
     return term
 
 

@@ -31,6 +31,7 @@ no longer hold cuts the search off before its other blanks are tried.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field
 from typing import (
     Dict,
@@ -112,9 +113,6 @@ class Interpretation:
     complement: Mapping[Element, Element]
     denote: Mapping[Term, Element]
     _cache: Dict[str, object] = field(default_factory=dict, repr=False, compare=False)
-
-    def complement_of(self, el: Element) -> Optional[Element]:
-        return self.complement.get(el)
 
     def pos_pairs(self, p: Element) -> FrozenSet[Pair]:
         return self.ext_p_pos.get(p, _EMPTY_PAIRS)
@@ -741,6 +739,13 @@ def serialize_interpretation(i: Interpretation) -> str:
 # ---------------------------------------------------------------------------
 
 
+# A field is a whole ``<...>`` or ``"..."`` term, with any prefixes, or
+# else a run of characters up to a space or a ``#``; a ``#`` that starts
+# a field starts a comment.
+_FIELD = re.compile(r'#.*|([!*]*(?:<[^>]*>|"(?:[^"\\]|\\.)*"|[^\s#]+))')
+_LITERAL_ESCAPE = re.compile(r"\\(.)")
+
+
 def _element(token: str) -> str:
     bangs = 0
     while bangs < len(token) and token[bangs] == "!":
@@ -748,8 +753,8 @@ def _element(token: str) -> str:
     base = token[bangs:]
     if len(base) >= 2 and base[0] == '"' and base[-1] == '"':
         # Literal-backed elements are identified by their lexical form.
-        base = base[1:-1]
-    if not base:
+        base = _LITERAL_ESCAPE.sub(r"\1", base[1:-1])
+    elif not base:
         raise ValueError("empty element name")
     return base if bangs % 2 == 0 else "!" + base
 
@@ -786,11 +791,10 @@ def load_interpretation(text: str) -> Interpretation:
             complement[el[1:]] = el
         return el
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        parts = [m.group(1) for m in _FIELD.finditer(line) if m.group(1)]
+        if not parts:
             continue
-        parts = line.split()
         directive, args = parts[0], parts[1:]
         if directive == "R" and len(args) == 1:
             delta_r.add(element(args[0], lineno))
@@ -826,7 +830,7 @@ def load_interpretation(text: str) -> Interpretation:
             if el not in delta_p:
                 delta_r.add(el)
         else:
-            raise ValueError(f"line {lineno}: unknown or malformed directive {line!r}")
+            raise ValueError(f"line {lineno}: unknown or malformed directive {' '.join(parts)!r}")
 
     for dom in (delta_r, delta_p, delta_c, delta_l):
         for el in list(dom):

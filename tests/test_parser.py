@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import reference_parser
 from rhodf import (
     Blank,
     Graph,
@@ -15,6 +16,7 @@ from rhodf import (
     Neg,
     Star,
     Triple,
+    closure,
     cubic,
     parse_graph,
     parse_graph_lenient,
@@ -113,6 +115,12 @@ class TestGraphParsing:
         assert len(parse_graph("")) == 0
         assert serialize_graph(Graph()) == ""
 
+    @pytest.mark.parametrize("prefix", ["!", "*"])
+    def test_a_prefix_before_the_dot_keeps_the_next_statement(self, prefix):
+        g, errors = parse_graph_lenient(f"a b {prefix} . c d e .")
+        assert list(g) == [Triple(Iri("c"), Iri("d"), Iri("e"))]
+        assert [(str(e.span), e.message) for e in errors] == [("1:7", "prefix without a following term")]
+
 
 class TestGraphRoundTrip:
     def test_serialize_is_sorted_and_parseable(self):
@@ -156,3 +164,78 @@ class TestSerializedOrder:
             graphs.append(Graph(t for t in picked if t is not None))
         for g in graphs:
             assert serialize_graph(g) == term_ordered(g)
+
+
+# Garbled documents are mostly statements, terms and dots, with junk
+# between them.  The junk hits every lexical error: empty and
+# unterminated IRIs, a bad escape (also as a trailing backslash), an
+# unterminated literal, a malformed blank label and unexpected
+# characters.  It also puts '#' inside IRIs and literals, and adds the
+# line breaks that str.splitlines knows besides '\n'.
+WORDS = ["a ", "b ", "c ", "sp ", "sc ", "type ", "cdisj ", "x-1 ", "!a ", "*b ", "_:b ", '"lit" ', "<u r> ", ". ", ". "]
+WORDS += ["a sc b . ", '_:b !p "lit" . ', "*b type c . ", "<u r> p x-1 . "]
+JUNK = [
+    "!", "*", "\u00ac", "\u22c6", "!!", "*!", "\t", "<>", "<open", "<u r#i>", '"a#b"', '"bad\\q"',
+    '"x\\"y"', '"open', "\\", "_x", "_", "1", "\u00e9", "'", "#", "# c", "\n", "\n",
+    "\r", "\r\n", "\x0b", "\u2028",
+]
+
+
+def garbled(seed, most):
+    rng = random.Random(seed)
+    pieces = (rng.choice(JUNK if rng.random() < 0.2 else WORDS) for _ in range(rng.randint(0, most)))
+    return "".join(pieces)
+
+
+class TestReferenceParser:
+    """The reader against the token-cursor reader in reference_parser.py."""
+
+    @staticmethod
+    def assert_same_graph(text):
+        graph, errors = parse_graph_lenient(text)
+        ref_graph, ref_errors = reference_parser.parse_graph_lenient(text)
+        assert list(graph) == list(ref_graph), repr(text)
+        got = [(e.message, e.span.line, e.span.column, e.kind) for e in errors]
+        assert got == [(e.message, e.span.line, e.span.column, e.kind) for e in ref_errors], repr(text)
+        return graph, errors
+
+    @staticmethod
+    def term_outcome(parse, text):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            return str(exc)
+
+    def test_fixtures(self, medical_text, medical_negative_text):
+        for text in (medical_text, medical_negative_text):
+            self.assert_same_graph(text)
+
+    def test_serialized_graphs(self):
+        for seed in range(200):
+            self.assert_same_graph(serialize_graph(random_graph(seed=seed)))
+        self.assert_same_graph(serialize_graph(closure(cubic(8)).closure))
+
+    def test_garbled_documents(self):
+        messages, triples = set(), 0
+        for seed in range(5000):
+            graph, errors = self.assert_same_graph(garbled(seed, 30))
+            messages.update(e.message.split(" '")[0] for e in errors)
+            triples += len(graph)
+        assert {
+            "empty IRI reference",
+            "unterminated IRI reference",
+            "unsupported escape in literal (only \\\" and \\\\ exist)",
+            "unterminated literal",
+            "malformed blank node label",
+            "unexpected character",
+            "prefix without a following term",
+            "statement is missing its terminating",
+            "expected 3 terms before",
+            "reserved vocabulary cannot be a subject or object",
+        } <= messages
+        assert triples > 2000, triples
+
+    def test_garbled_terms(self):
+        for seed in range(5000):
+            text = garbled(seed, 4)
+            assert self.term_outcome(parse_term, text) == self.term_outcome(reference_parser.parse_term, text), repr(text)

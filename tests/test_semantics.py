@@ -344,6 +344,12 @@ class TestInterpretationFixtures:
         i = load_interpretation("R e1\nR e2\nI a e2\n")
         assert i.denote[Iri("a")] == "e2"
 
+    @pytest.mark.parametrize("obj", ['"hello world"', "<a b>", "<a#b>", '"a\\"b"', '"a\\\\b"', '""'])
+    def test_dumped_model_with_spaces_hashes_and_escapes_reloads(self, obj):
+        g = parse_graph(f"x p {obj} .")
+        dump = serialize_interpretation(canonical_model(g))
+        assert check_model(load_interpretation(dump), g).satisfied
+
     @pytest.mark.parametrize("bad", ["X y\n", "C\n", "P+ p s\n", "I ! e\n", "R !\n"])
     def test_malformed_lines_name_their_position(self, bad):
         with pytest.raises(ValueError) as exc:
