@@ -9,144 +9,36 @@ models that witness satisfiability of any graph, contradictions
 included.
 """
 
-from .core import (
-    BOTC,
-    BOTP,
-    DOM,
-    EMPTY_GRAPH,
-    PLAIN_VOCAB,
-    RANGE,
-    RESERVED_VOCAB,
-    SC,
-    SP,
-    TYPE,
-    Blank,
-    Graph,
-    InvalidTripleError,
-    Iri,
-    Literal,
-    Neg,
-    Star,
-    Term,
-    Triple,
-    VariableMap,
-    apply_map,
-    is_negatable,
-    is_reserved,
-    negate,
-    try_negate,
-    try_triple,
-    validate_triple,
-)
-from .parser import (
-    GraphParseError,
-    ParseError,
-    SourceSpan,
-    parse_graph,
-    parse_graph_lenient,
-    parse_term,
-    serialize_graph,
-    serialize_term,
-    serialize_triple,
-)
-from .reasoner import (
-    FULL_RULE_IDS,
-    RDF_RULE_IDS,
-    ClosureCapError,
-    ClosureResult,
-    ClosureStats,
-    Domains,
-    ProofStep,
-    RuleId,
-    closure,
-    default_cap,
-    instantiate,
-    recognize_domains,
-)
-from .entailment import (
-    EntailmentReport,
-    SearchBudgetExceeded,
-    entails,
-    extract_proof,
-    find_map,
-)
-from .semantics import (
-    Interpretation,
-    SatisfactionReport,
-    Violation,
-    canonical_model,
-    check_model,
-    load_interpretation,
-    project,
-    serialize_interpretation,
-)
-from .generators import cubic, random_graph, spchain
+import importlib
+
+# The module each public name lives in.  Names are loaded on first use
+# (PEP 562), so importing the package or one of its modules compiles
+# only what is used.
+_HOMES = {
+    "core": "BOTC BOTP DOM EMPTY_GRAPH PLAIN_VOCAB RANGE RESERVED_VOCAB SC SP TYPE Blank Graph InvalidTripleError Iri Literal "
+    "Neg Star Term Triple VariableMap apply_map is_negatable is_reserved negate try_negate try_triple validate_triple",
+    "parser": "GraphParseError ParseError SourceSpan parse_graph parse_graph_lenient parse_term serialize_graph serialize_term "
+    "serialize_triple",
+    "reasoner": "FULL_RULE_IDS RDF_RULE_IDS ClosureCapError ClosureResult ClosureStats Domains ProofStep RuleId closure "
+    "default_cap instantiate recognize_domains",
+    "entailment": "EntailmentReport SearchBudgetExceeded entails extract_proof find_map",
+    "semantics": "Interpretation SatisfactionReport Violation canonical_model check_model load_interpretation project "
+    "serialize_interpretation",
+    "generators": "cubic random_graph spchain",
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names.split()}
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str) -> object:
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    return value
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | set(__all__))
+
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BOTC",
-    "BOTP",
-    "DOM",
-    "EMPTY_GRAPH",
-    "PLAIN_VOCAB",
-    "RANGE",
-    "RESERVED_VOCAB",
-    "SC",
-    "SP",
-    "TYPE",
-    "Blank",
-    "ClosureCapError",
-    "ClosureResult",
-    "ClosureStats",
-    "Domains",
-    "EntailmentReport",
-    "FULL_RULE_IDS",
-    "Graph",
-    "GraphParseError",
-    "Interpretation",
-    "InvalidTripleError",
-    "Iri",
-    "Literal",
-    "Neg",
-    "ParseError",
-    "ProofStep",
-    "RDF_RULE_IDS",
-    "RuleId",
-    "SatisfactionReport",
-    "SearchBudgetExceeded",
-    "SourceSpan",
-    "Star",
-    "Term",
-    "Triple",
-    "VariableMap",
-    "Violation",
-    "apply_map",
-    "canonical_model",
-    "check_model",
-    "closure",
-    "cubic",
-    "default_cap",
-    "entails",
-    "extract_proof",
-    "find_map",
-    "instantiate",
-    "is_negatable",
-    "is_reserved",
-    "load_interpretation",
-    "negate",
-    "parse_graph",
-    "parse_graph_lenient",
-    "parse_term",
-    "project",
-    "random_graph",
-    "recognize_domains",
-    "serialize_graph",
-    "serialize_interpretation",
-    "serialize_term",
-    "serialize_triple",
-    "spchain",
-    "try_negate",
-    "try_triple",
-    "validate_triple",
-]

@@ -4,6 +4,16 @@ Subcommands: ``close`` materializes a closure, ``entail`` decides a
 judgment, ``model`` prints the canonical interpretation, ``gen`` emits
 a benchmark family, ``stats`` summarizes a closure run.
 
+A command loads only the modules it runs.  This module imports
+:mod:`~rhodf.core`, :mod:`~rhodf.parser` and :mod:`~rhodf.reasoner`,
+which ``close`` and ``stats`` need.  ``entail`` loads
+:mod:`~rhodf.entailment`, ``model`` loads :mod:`~rhodf.semantics` (and
+with it :mod:`~rhodf.entailment`), and ``gen`` loads
+:mod:`~rhodf.generators`, each when it runs.  The functions they use
+are attributes of this module all the same, resolved on first use, and
+the subcommands call them through this module's namespace, so a caller
+that replaces one here, as a tracer does, replaces what runs.
+
 Exit codes: 0 success (and "holds" for entail), 1 judgment does not
 hold, 2 parse or usage error or an unreadable input file, 3 closure cap
 exceeded, 4 search budget exceeded, 5 internal error, with the
@@ -19,15 +29,26 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import traceback
 from typing import List, Optional
 
 from .core import Graph
-from .entailment import SearchBudgetExceeded, entails
-from .generators import cubic, spchain
 from .parser import GraphParseError, parse_graph, serialize_graph, serialize_term, serialize_triple
 from .reasoner import ClosureCapError, RuleId, closure
-from .semantics import canonical_model, check_model, serialize_interpretation
+
+# The names the other subcommands use, each loaded with its module on first use.
+_LAZY = ("SearchBudgetExceeded", "entails", "canonical_model", "check_model", "serialize_interpretation", "cubic", "spchain")
+
+
+def __getattr__(name: str) -> object:
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(sys.modules[__package__], name)  # the package loads the module that has it
+
+
+def _lazy(name: str):
+    """A name of ``_LAZY`` as this module's namespace has it, replacements included."""
+    return globals()[name] if name in globals() else __getattr__(name)
+
 
 EXIT_OK = 0
 EXIT_DOES_NOT_HOLD = 1
@@ -128,14 +149,11 @@ def _format_proof(proof) -> str:
 def cmd_entail(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     h = _load_graph(args.query)
-    report = entails(
-        g,
-        h,
-        args.mode,
-        cap=args.cap,
-        budget=args.budget,
-        with_proof=args.proof,
-    )
+    try:
+        report = _lazy("entails")(g, h, args.mode, cap=args.cap, budget=args.budget, with_proof=args.proof)
+    except _lazy("SearchBudgetExceeded") as exc:
+        print(f"unknown: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
     chunks: List[str] = []
     if report.holds:
         chunks.append(_verdict("entailed", True) + "\n")
@@ -155,9 +173,9 @@ def cmd_entail(args: argparse.Namespace) -> int:
 
 def cmd_model(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    model = canonical_model(g, cap=args.cap)
-    report = check_model(model, g)
-    chunks = [serialize_interpretation(model)]
+    model = _lazy("canonical_model")(g, cap=args.cap)
+    report = _lazy("check_model")(model, g)
+    chunks = [_lazy("serialize_interpretation")(model)]
     if report.satisfied:
         chunks.append(_verdict("satisfiable", True) + "\n")
     else:
@@ -169,8 +187,7 @@ def cmd_model(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    family = spchain if args.family == "spchain" else cubic
-    g = family(args.n)
+    g = _lazy(args.family)(args.n)  # each family is named after its generator
     _write(args.out, serialize_graph(g))
     return EXIT_OK
 
@@ -264,11 +281,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ClosureCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except SearchBudgetExceeded as exc:
-        print(f"unknown: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     except Exception:
         # Anything else is a fault of the program, never a verdict.
+        import traceback
+
         traceback.print_exc()
         return EXIT_INTERNAL
 

@@ -26,8 +26,61 @@ constructor enforces them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Tuple, Union
+
+# ---------------------------------------------------------------------------
+# Records
+# ---------------------------------------------------------------------------
+
+_set = object.__setattr__
+
+
+class Record:
+    """Base of the package's immutable record classes.
+
+    A subclass names its fields in ``__slots__``, in constructor order,
+    and its ``__init__`` stores them with ``object.__setattr__``; a slot
+    whose name starts with ``_`` holds a cache, not a field.  Records of
+    one class are equal when their fields are, hash as the tuple of their
+    fields, print as ``Name(field=value, ...)`` and are rebuilt from their
+    fields by ``pickle`` and ``copy``.  Assigning a field raises
+    ``AttributeError``.  The classes built once per term or triple write
+    these methods out, or at least ``__init__``, since they are hot.
+    """
+
+    __slots__ = ()
+    _names: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._names = tuple(name for name in cls.__slots__ if name[0] != "_")
+
+    def _init(self, *values: object) -> None:
+        for name, value in zip(self._names, values):
+            _set(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._names])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join([f'{name}={getattr(self, name)!r}' for name in self._names])})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return (self.__class__, self._fields())
+
 
 # ---------------------------------------------------------------------------
 # Terms
@@ -36,66 +89,98 @@ from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Tuple
 _RESERVED_NAMES = frozenset({"sp", "sc", "type", "dom", "range", "cdisj", "pdisj"})
 
 
-class Term:
+class Term(Record):
     """Base class for all term shapes."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Iri(Term):
     """A named resource.  Reserved names are ordinary ``Iri`` values."""
 
-    name: str
+    __slots__ = ("name",)
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __init__(self, name: str) -> None:
+        if not name:
             raise ValueError("IRI name must be non-empty")
+        _set(self, "name", name)
+
+    def __eq__(self, other: object) -> bool:
+        return self.name == other.name if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
 
 
-@dataclass(frozen=True, slots=True)
 class Literal(Term):
     """A data value, identified by its lexical form."""
 
-    lexical: str
+    __slots__ = ("lexical",)
+
+    def __init__(self, lexical: str) -> None:
+        _set(self, "lexical", lexical)
+
+    def __eq__(self, other: object) -> bool:
+        return self.lexical == other.lexical if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.lexical,))
 
 
-@dataclass(frozen=True, slots=True)
 class Blank(Term):
     """A blank node.  Blank nodes act as the variables of entailment."""
 
-    name: str
+    __slots__ = ("name",)
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __init__(self, name: str) -> None:
+        if not name:
             raise ValueError("blank node label must be non-empty")
+        _set(self, "name", name)
+
+    def __eq__(self, other: object) -> bool:
+        return self.name == other.name if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
 
 
-@dataclass(frozen=True, slots=True)
 class Neg(Term):
     """A negated resource.  Only plain non-reserved IRIs can be negated."""
 
-    base: Iri
+    __slots__ = ("base",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.base, Iri):
-            raise ValueError(f"only plain IRIs can be negated, got {self.base!r}")
-        if self.base.name in _RESERVED_NAMES:
-            raise ValueError(f"reserved name {self.base.name!r} cannot be negated")
+    def __init__(self, base: Iri) -> None:
+        if not isinstance(base, Iri):
+            raise ValueError(f"only plain IRIs can be negated, got {base!r}")
+        if base.name in _RESERVED_NAMES:
+            raise ValueError(f"reserved name {base.name!r} cannot be negated")
+        _set(self, "base", base)
+
+    def __eq__(self, other: object) -> bool:
+        return self.base == other.base if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.base,))
 
 
-@dataclass(frozen=True, slots=True)
 class Star(Term):
     """A universal class term.  ``Star(c)`` stands for every member of ``c``."""
 
-    cls: Union[Iri, Neg]
+    __slots__ = ("cls",)
 
-    def __post_init__(self) -> None:
-        if isinstance(self.cls, Iri):
-            if self.cls.name in _RESERVED_NAMES:
-                raise ValueError(f"reserved name {self.cls.name!r} cannot be a star subscript")
-        elif not isinstance(self.cls, Neg):
-            raise ValueError(f"star subscript must be an IRI or negated IRI, got {self.cls!r}")
+    def __init__(self, cls: Union[Iri, Neg]) -> None:
+        if isinstance(cls, Iri):
+            if cls.name in _RESERVED_NAMES:
+                raise ValueError(f"reserved name {cls.name!r} cannot be a star subscript")
+        elif not isinstance(cls, Neg):
+            raise ValueError(f"star subscript must be an IRI or negated IRI, got {cls!r}")
+        _set(self, "cls", cls)
+
+    def __eq__(self, other: object) -> bool:
+        return self.cls == other.cls if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.cls,))
 
 
 # ---------------------------------------------------------------------------
@@ -196,21 +281,39 @@ class InvalidTripleError(ValueError):
         self.violations = violations
 
 
-@dataclass(frozen=True, slots=True)
-class Triple:
+class Triple(Record):
     """A valid statement.  Construction enforces the validity conditions."""
 
-    s: Term
-    p: Term
-    o: Term
+    __slots__ = ("s", "p", "o")
 
-    def __post_init__(self) -> None:
-        violations = validate_triple(self.s, self.p, self.o)
+    def __init__(self, s: Term, p: Term, o: Term) -> None:
+        violations = validate_triple(s, p, o)
         if violations:
-            raise InvalidTripleError(self.s, self.p, self.o, violations)
+            raise InvalidTripleError(s, p, o, violations)
+        _set(self, "s", s)
+        _set(self, "p", p)
+        _set(self, "o", o)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.s, self.p, self.o) == (other.s, other.p, other.o)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.s, self.p, self.o))
 
     def terms(self) -> Tuple[Term, Term, Term]:
         return (self.s, self.p, self.o)
+
+
+def _trusted_triple(s: Term, p: Term, o: Term) -> Triple:
+    """A :class:`Triple` of terms the caller has already checked against
+    the validity conditions; they are not checked again."""
+    t = object.__new__(Triple)
+    _set(t, "s", s)
+    _set(t, "p", p)
+    _set(t, "o", o)
+    return t
 
 
 def try_triple(s: Term, p: Term, o: Term) -> Optional[Triple]:
@@ -311,11 +414,13 @@ EMPTY_GRAPH = Graph()
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class VariableMap:
+class VariableMap(Record):
     """A substitution sending blank nodes to terms (identity elsewhere)."""
 
-    assignment: Mapping[Blank, Term]
+    __slots__ = ("assignment",)
+
+    def __init__(self, assignment: Mapping[Blank, Term]) -> None:
+        _set(self, "assignment", assignment)
 
     @classmethod
     def identity(cls) -> "VariableMap":

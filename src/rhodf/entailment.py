@@ -19,11 +19,11 @@ under which a triple holds in an interpretation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple, TypeVar
 
-from .core import Blank, Graph, Triple, VariableMap, apply_map, try_triple
-from .reasoner import ClosureResult, IdTriple, ProofStep, RuleId, TermTable, TripleIndex, closure
+from .core import Blank, Graph, Record, Triple, VariableMap, apply_map, try_triple
+from .reasoner import ClosureResult, IdTriple, ProofStep, RuleId, TermTable, TripleIndex
+from .reasoner import _closure as closure
 
 C = TypeVar("C")
 Bindings = Dict[Blank, Hashable]
@@ -37,8 +37,7 @@ class SearchBudgetExceeded(RuntimeError):
         self.budget = budget
 
 
-@dataclass(frozen=True)
-class EntailmentReport:
+class EntailmentReport(Record):
     """Outcome of an entailment query.
 
     ``map`` is the witnessing substitution when the judgment holds and
@@ -47,10 +46,16 @@ class EntailmentReport:
     closure; it is empty when the judgment holds.
     """
 
-    holds: bool
-    map: Optional[VariableMap] = None
-    proof: Optional[Tuple[ProofStep, ...]] = None
-    missing: Tuple[Triple, ...] = ()
+    __slots__ = ("holds", "map", "proof", "missing")
+
+    def __init__(
+        self,
+        holds: bool,
+        map: Optional[VariableMap] = None,
+        proof: Optional[Tuple[ProofStep, ...]] = None,
+        missing: Tuple[Triple, ...] = (),
+    ) -> None:
+        self._init(holds, map, proof, missing)
 
 
 class _Choice:

@@ -29,7 +29,6 @@ first, so a file with k bad lines produces at least k diagnostics.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple, Union
 
 from .core import (
@@ -39,6 +38,7 @@ from .core import (
     Iri,
     Literal,
     Neg,
+    Record,
     Star,
     Term,
     Triple,
@@ -49,24 +49,26 @@ BARE_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_-]*")
 BLANK_LABEL = re.compile(r"[A-Za-z0-9_-]+")
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(Record):
     """1-based line and column of a token or diagnostic."""
 
-    line: int
-    column: int
+    __slots__ = ("line", "column")
+
+    def __init__(self, line: int, column: int) -> None:
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "column", column)
 
     def __str__(self) -> str:
         return f"{self.line}:{self.column}"
 
 
-@dataclass(frozen=True)
-class ParseError:
+class ParseError(Record):
     """A single diagnostic.  ``kind`` is lexical, structural or validation."""
 
-    message: str
-    span: SourceSpan
-    kind: str
+    __slots__ = ("message", "span", "kind")
+
+    def __init__(self, message: str, span: SourceSpan, kind: str) -> None:
+        self._init(message, span, kind)
 
     def __str__(self) -> str:
         return f"{self.span}: {self.kind}: {self.message}"
@@ -244,7 +246,8 @@ def parse_term(text: str) -> Term:
     tokens = [tok for n, line in enumerate(text.splitlines(), start=1) for tok in _tokens(n, line, errors)]
     if errors:
         raise ValueError(str(errors[0]))
-    if not tokens or not isinstance(tokens[-1][0], Term) or any(t not in ("!", "*") for t, _ in tokens[:-1]):
+    lines = {span.line for _, span in tokens}  # a term, like a statement, sits on one line
+    if len(lines) != 1 or not isinstance(tokens[-1][0], Term) or any(t not in ("!", "*") for t, _ in tokens[:-1]):
         raise ValueError(f"expected exactly one term, got {text!r}")
     term = _apply_prefixes(tokens[-1][0], tokens[:-1])
     if isinstance(term, ParseError):

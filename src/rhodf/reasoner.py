@@ -26,7 +26,7 @@ its star, a star's subscript and the validity flags.  The index, the
 rounds' deltas and the matchers hold ``(s, p, o)`` id tuples, and a
 candidate is deduplicated and validated as such.  A :class:`Triple`
 and its :class:`ProofStep` are built only for a candidate that passes
-both, so once per closure triple.
+both, so once per closure triple, and the triple is not validated again.
 
 The rules are mirrored pairs, and each family has one matcher factory,
 closed over a predicate id or a triple position (2 = object, 0 =
@@ -39,7 +39,6 @@ have no mirror and are written out.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from enum import Enum
 from typing import (
     Callable,
@@ -66,10 +65,12 @@ from .core import (
     Graph,
     Iri,
     Neg,
+    Record,
     Star,
     Term,
     Triple,
     VariableMap,
+    _trusted_triple,
     try_negate,
 )
 
@@ -141,8 +142,7 @@ MODE_RULE_IDS: Mapping[str, FrozenSet[RuleId]] = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class ProofStep:
+class ProofStep(Record):
     """One derivation step.
 
     ``conclusion`` is the derived triple, except for the map rule 1a
@@ -151,49 +151,73 @@ class ProofStep:
     Rule 1b steps introduce input triples and have no premises.
     """
 
-    rule: RuleId
-    premises: Tuple[Triple, ...]
-    conclusion: Optional[Triple]
-    map: Optional[VariableMap] = None
-    targets: Tuple[Triple, ...] = ()
+    __slots__ = ("rule", "premises", "conclusion", "map", "targets")
+
+    def __init__(
+        self,
+        rule: RuleId,
+        premises: Tuple[Triple, ...],
+        conclusion: Optional[Triple],
+        map: Optional[VariableMap] = None,
+        targets: Tuple[Triple, ...] = (),
+    ) -> None:
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "premises", premises)
+        object.__setattr__(self, "conclusion", conclusion)
+        object.__setattr__(self, "map", map)
+        object.__setattr__(self, "targets", targets)
+
+    def _fields(self) -> tuple:
+        return (self.rule, self.premises, self.conclusion, self.map, self.targets)
 
 
-@dataclass(frozen=True)
-class Domains:
+class Domains(Record):
     """Class and property terms recognized in a graph."""
 
-    class_terms: FrozenSet[Term]
-    property_terms: FrozenSet[Term]
+    __slots__ = ("class_terms", "property_terms")
+
+    def __init__(self, class_terms: FrozenSet[Term], property_terms: FrozenSet[Term]) -> None:
+        self._init(class_terms, property_terms)
 
 
-@dataclass(frozen=True)
-class ClosureStats:
+class ClosureStats(Record):
     """Counters of one closure run: ``round_deltas`` are the new triples
     of each round, ``rule_candidates`` the instantiations each rule
     listed, and ``rule_fire_counts`` those that added a triple."""
 
-    iterations: int
-    rule_fire_counts: Mapping[str, int]
-    input_size: int
-    output_size: int
-    elapsed_s: float
-    round_deltas: Tuple[int, ...]
-    rule_candidates: Mapping[str, int]
+    __slots__ = ("iterations", "rule_fire_counts", "input_size", "output_size", "elapsed_s", "round_deltas", "rule_candidates")
+
+    def __init__(
+        self,
+        iterations: int,
+        rule_fire_counts: Mapping[str, int],
+        input_size: int,
+        output_size: int,
+        elapsed_s: float,
+        round_deltas: Tuple[int, ...],
+        rule_candidates: Mapping[str, int],
+    ) -> None:
+        self._init(iterations, rule_fire_counts, input_size, output_size, elapsed_s, round_deltas, rule_candidates)
 
 
-@dataclass(frozen=True)
-class ClosureResult:
+class ClosureResult(Record):
     """Closure graph plus provenance and domain bookkeeping.
 
     ``provenance`` maps each derived (non-input) triple to the first
     :class:`ProofStep` that produced it.
     """
 
-    closure: Graph
-    provenance: Mapping[Triple, ProofStep]
-    class_terms: FrozenSet[Term]
-    property_terms: FrozenSet[Term]
-    stats: ClosureStats
+    __slots__ = ("closure", "provenance", "class_terms", "property_terms", "stats")
+
+    def __init__(
+        self,
+        closure: Graph,
+        provenance: Mapping[Triple, ProofStep],
+        class_terms: FrozenSet[Term],
+        property_terms: FrozenSet[Term],
+        stats: ClosureStats,
+    ) -> None:
+        self._init(closure, provenance, class_terms, property_terms, stats)
 
 
 class ClosureCapError(RuntimeError):
@@ -428,18 +452,23 @@ _Candidate = Tuple[Tuple[IdTriple, ...], IdTriple]
 _Matcher = Callable[[TripleIndex, _Delta, "_RoundContext"], Iterator[_Candidate]]
 
 
-@dataclass
-class _RoundContext:
+class _RoundContext(Record):
     """The term table, and the state of the free-variable rules 6c/7c,
     each keyed by ``_BOTC`` or ``_BOTP``: the class or property terms,
     those new this round, and the self-disjointness statements of the
     delta and of earlier rounds."""
 
-    table: TermTable
-    terms: Mapping[int, Sequence[int]]
-    new_terms: Mapping[int, Sequence[int]]
-    self_delta: Mapping[int, Sequence[IdTriple]]
-    self_old: Mapping[int, Sequence[IdTriple]]
+    __slots__ = ("table", "terms", "new_terms", "self_delta", "self_old")
+
+    def __init__(
+        self,
+        table: TermTable,
+        terms: Mapping[int, Sequence[int]],
+        new_terms: Mapping[int, Sequence[int]],
+        self_delta: Mapping[int, Sequence[IdTriple]],
+        self_old: Mapping[int, Sequence[IdTriple]],
+    ) -> None:
+        self._init(table, terms, new_terms, self_delta, self_old)
 
 
 def _transitive(q: int) -> _Matcher:
@@ -620,10 +649,15 @@ def _sp_typing(q: int, pos: int) -> _Matcher:
             for t1 in ix.by_sp.get((t2[2], q), ()):
                 for t3 in ix.by_pred.get(t2[0], ()):
                     yield (t1, t2, t3), (t3[pos], _TYPE, t1[2])
+        # The index holds still during a call, so the (t1, t2) pairs of a
+        # predicate are listed once, not once per delta triple using it.
+        pairs: Dict[int, List[Tuple[IdTriple, IdTriple]]] = {}
         for t3 in dx.all:
-            for t2 in ix.by_sp.get((t3[1], _SP), ()):
-                for t1 in ix.by_sp.get((t2[2], q), ()):
-                    yield (t1, t2, t3), (t3[pos], _TYPE, t1[2])
+            found = pairs.get(t3[1])
+            if found is None:
+                found = pairs[t3[1]] = [(t1, t2) for t2 in ix.by_sp.get((t3[1], _SP), ()) for t1 in ix.by_sp.get((t2[2], q), ())]
+            for t1, t2 in found:
+                yield (t1, t2, t3), (t3[pos], _TYPE, t1[2])
 
     return match
 
@@ -772,7 +806,7 @@ def instantiate(rule: RuleId, g: Graph, domains: Optional[Domains] = None) -> Li
         if key in triples or not table.valid(*key) or (premises, key) in seen:
             continue
         seen.add((premises, key))
-        conclusion = Triple(terms[key[0]], terms[key[1]], terms[key[2]])
+        conclusion = _trusted_triple(terms[key[0]], terms[key[1]], terms[key[2]])
         steps.append(ProofStep(rule, tuple(triples[k] for k in premises), conclusion))
     return steps
 
@@ -838,7 +872,7 @@ class _Engine:
                         continue
                     if len(triples) + 1 > self.cap:
                         raise ClosureCapError(self.cap, len(triples) + 1)
-                    t = triples[key] = Triple(terms[key[0]], terms[key[1]], terms[key[2]])
+                    t = triples[key] = _trusted_triple(terms[key[0]], terms[key[1]], terms[key[2]])
                     pending.append(ProofStep(rule, tuple(map(triples.__getitem__, premises)), t))
                     delta.append(key)
                     self.fires[rule.value] += 1
@@ -896,3 +930,9 @@ def closure(
             rule_candidates=dict(engine.candidates),
         ),
     )
+
+
+# The function itself, for the modules that call it.  They may load after
+# a caller has replaced ``closure`` in this module, as a tracer does, and
+# would otherwise bind that replacement and have it run twice.
+_closure = closure

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
 from typing import (
     Dict,
     FrozenSet,
@@ -60,6 +59,7 @@ from .core import (
     Iri,
     Literal,
     Neg,
+    Record,
     Star,
     Term,
     Triple,
@@ -67,7 +67,7 @@ from .core import (
 )
 from .entailment import solve
 from .parser import parse_term, serialize_term
-from .reasoner import closure
+from .reasoner import _closure as closure
 
 Element = Hashable
 Pair = Tuple[Element, Element]
@@ -76,43 +76,52 @@ _EMPTY_PAIRS: FrozenSet[Pair] = frozenset()
 _EMPTY_MEMBERS: FrozenSet[Element] = frozenset()
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """One failed semantic condition with the offending elements."""
 
-    condition: str
-    detail: str
+    __slots__ = ("condition", "detail")
+
+    def __init__(self, condition: str, detail: str) -> None:
+        self._init(condition, detail)
 
     def __str__(self) -> str:
         return f"{self.condition}: {self.detail}"
 
 
-@dataclass(frozen=True)
-class SatisfactionReport:
-    satisfied: bool
-    violations: Tuple[Violation, ...] = ()
+class SatisfactionReport(Record):
+    __slots__ = ("satisfied", "violations")
+
+    def __init__(self, satisfied: bool, violations: Tuple[Violation, ...] = ()) -> None:
+        self._init(satisfied, violations)
 
 
-@dataclass(frozen=True)
-class Interpretation:
+class Interpretation(Record):
     """A four-valued interpretation.
 
     ``ext_p_pos`` and ``ext_c_pos`` store positive extensions sparsely;
     elements without an entry have empty extensions.  Negative
     extensions are not stored: they are read off the complement map,
     so ``neg_pairs(p)`` is the positive extension of ``p``'s complement
-    when one is registered and empty otherwise.
+    when one is registered and empty otherwise.  ``_cache`` keeps the
+    model checker's graph-independent findings; it is not a field.
     """
 
-    delta_r: FrozenSet[Element]
-    delta_p: FrozenSet[Element]
-    delta_c: FrozenSet[Element]
-    delta_l: FrozenSet[Element]
-    ext_p_pos: Mapping[Element, FrozenSet[Pair]]
-    ext_c_pos: Mapping[Element, FrozenSet[Element]]
-    complement: Mapping[Element, Element]
-    denote: Mapping[Term, Element]
-    _cache: Dict[str, object] = field(default_factory=dict, repr=False, compare=False)
+    __slots__ = ("delta_r", "delta_p", "delta_c", "delta_l", "ext_p_pos", "ext_c_pos", "complement", "denote", "_cache")
+
+    def __init__(
+        self,
+        delta_r: FrozenSet[Element],
+        delta_p: FrozenSet[Element],
+        delta_c: FrozenSet[Element],
+        delta_l: FrozenSet[Element],
+        ext_p_pos: Mapping[Element, FrozenSet[Pair]],
+        ext_c_pos: Mapping[Element, FrozenSet[Element]],
+        complement: Mapping[Element, Element],
+        denote: Mapping[Term, Element],
+        _cache: Optional[Dict[str, object]] = None,
+    ) -> None:
+        self._init(delta_r, delta_p, delta_c, delta_l, ext_p_pos, ext_c_pos, complement, denote)
+        object.__setattr__(self, "_cache", {} if _cache is None else _cache)
 
     def pos_pairs(self, p: Element) -> FrozenSet[Pair]:
         return self.ext_p_pos.get(p, _EMPTY_PAIRS)

@@ -3,11 +3,13 @@
 This is :mod:`rhodf.parser`'s reader as it stood before it moved to one
 token regex per line: a character-loop lexer over the whole document,
 then a cursor over the token list that skips to the next ``.`` after a
-malformed statement.  One line differs from that reader: a prefix right
+malformed statement.  Two lines differ from that reader: a prefix right
 before ``.`` is reported without skipping ahead, so the next statement
-on the line is still read.  ``tests/test_parser.py`` diffs the
-library's reader against this one on graphs, diagnostics and single
-terms.  Nothing in the library imports this module.
+on the line is still read, and :func:`parse_term` rejects a term whose
+prefixes and base sit on different lines, as a statement would.
+``tests/test_parser.py`` diffs the library's reader against this one on
+graphs, diagnostics and single terms.  Nothing in the library imports
+this module.
 """
 
 from __future__ import annotations
@@ -315,6 +317,7 @@ def parse_term(text: str) -> Term:
         len(bases) != 1
         or bases[0].kind not in ("IRI", "LITERAL", "BLANK")
         or prefixes != tokens[: len(prefixes)]
+        or tokens[0].span.line != tokens[-1].span.line
     ):
         raise ValueError(f"expected exactly one term, got {text!r}")
     term, err = _apply_prefixes(_base_term(bases[0]), prefixes)

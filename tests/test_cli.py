@@ -1,9 +1,15 @@
-"""In-process checks of the command line front end."""
+"""Checks of the command line front end, in process and, for what a
+command imports, in a fresh one."""
 
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import rhodf
 from rhodf import closure, load_interpretation, check_model, parse_graph
 from rhodf import cli
 from rhodf.cli import main
@@ -232,3 +238,39 @@ class TestDiagnostics:
         query = write(tmp_path, "q.rnt", "ebola !hasTreatment paracetamol .\n")
         assert main(["entail", EXTENDED, query]) == 0
         assert "\x1b[32mentailed\x1b[0m" in capsys.readouterr().out
+
+
+# Runs ``python -m rhodf.cli ARGS...`` and prints, last on stderr, the
+# rhodf modules and dataclasses the command has imported when it exits.
+PROBE = """
+import atexit, json, runpy, sys
+atexit.register(lambda: print(json.dumps(sorted(m for m in sys.modules if m.startswith("rhodf") or m == "dataclasses")), file=sys.stderr))
+sys.argv[0] = "rhodf"
+runpy.run_module("rhodf.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def loaded_modules(tmp_path, *args):
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(rhodf.__file__).parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", PROBE, *args], env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stderr.splitlines()[-1]))
+
+
+class TestStartUp:
+    """Each command compiles only the modules it runs."""
+
+    def test_each_command_loads_only_what_it_runs(self, tmp_path):
+        query = write(tmp_path, "q.rnt", "morphine type drugTreatment .\n")
+        base = {"rhodf", "rhodf.core", "rhodf.parser", "rhodf.reasoner"}  # rhodf.cli runs as __main__
+        expected = {
+            ("close", MEDICAL): base,
+            ("stats", MEDICAL): base,
+            ("entail", "--proof", MEDICAL, query): base | {"rhodf.entailment"},
+            ("model", MEDICAL): base | {"rhodf.entailment", "rhodf.semantics"},
+            ("gen", "cubic", "2"): base | {"rhodf.generators"},
+        }
+        for args, modules in expected.items():
+            assert loaded_modules(tmp_path, *args) == modules, args

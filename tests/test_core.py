@@ -1,7 +1,12 @@
-"""Unit tests for terms, triples, graphs and variable maps."""
+"""Unit tests for terms, triples, graphs, variable maps and the record classes."""
+
+import copy
+import importlib
+import pickle
 
 import pytest
 
+import rhodf
 from rhodf import (
     BOTC,
     EMPTY_GRAPH,
@@ -9,14 +14,25 @@ from rhodf import (
     SP,
     TYPE,
     Blank,
+    ClosureResult,
+    ClosureStats,
+    Domains,
+    EntailmentReport,
     Graph,
+    Interpretation,
     InvalidTripleError,
     Iri,
     Literal,
     Neg,
+    ParseError,
+    ProofStep,
+    RuleId,
+    SatisfactionReport,
+    SourceSpan,
     Star,
     Triple,
     VariableMap,
+    Violation,
     apply_map,
     is_negatable,
     is_reserved,
@@ -25,6 +41,8 @@ from rhodf import (
     try_triple,
     validate_triple,
 )
+
+from rhodf.reasoner import _RoundContext
 
 A = Iri("a")
 B = Iri("b")
@@ -196,3 +214,130 @@ class TestVariableMap:
         g = Graph([Triple(x, SC, C)])
         with pytest.raises(InvalidTripleError):
             apply_map(VariableMap.of({x: TYPE}), g)
+
+
+T = Triple(A, SP, B)
+STATS = ClosureStats(2, {"2a": 1}, 3, 4, 0.5, (1, 0), {"2a": 2})
+
+# Every record class with its fields, in constructor order, and its repr.
+RECORDS = [
+    (Iri, ("a",), "Iri(name='a')"),
+    (Literal, ("v",), "Literal(lexical='v')"),
+    (Blank, ("x",), "Blank(name='x')"),
+    (Neg, (C,), "Neg(base=Iri(name='c'))"),
+    (Star, (Neg(C),), "Star(cls=Neg(base=Iri(name='c')))"),
+    (Triple, (A, SP, B), "Triple(s=Iri(name='a'), p=Iri(name='sp'), o=Iri(name='b'))"),
+    (VariableMap, ({Blank("x"): A},), "VariableMap(assignment={Blank(name='x'): Iri(name='a')})"),
+    (SourceSpan, (1, 2), "SourceSpan(line=1, column=2)"),
+    (ParseError, ("bad", SourceSpan(1, 2), "lexical"), "ParseError(message='bad', span=SourceSpan(line=1, column=2), kind='lexical')"),
+    (
+        ProofStep,
+        (RuleId.R1B, (), T, None, ()),
+        "ProofStep(rule=<RuleId.R1B: '1b'>, premises=(), conclusion=Triple(s=Iri(name='a'), p=Iri(name='sp'), o=Iri(name='b')), "
+        "map=None, targets=())",
+    ),
+    (Domains, (frozenset({A}), frozenset()), "Domains(class_terms=frozenset({Iri(name='a')}), property_terms=frozenset())"),
+    (
+        ClosureStats,
+        (2, {"2a": 1}, 3, 4, 0.5, (1, 0), {"2a": 2}),
+        "ClosureStats(iterations=2, rule_fire_counts={'2a': 1}, input_size=3, output_size=4, elapsed_s=0.5, round_deltas=(1, 0), "
+        "rule_candidates={'2a': 2})",
+    ),
+    (
+        ClosureResult,
+        (Graph([T]), {}, frozenset(), frozenset({SP}), STATS),
+        "ClosureResult(closure=Graph(1 triples), provenance={}, class_terms=frozenset(), property_terms=frozenset({Iri(name='sp')}), "
+        f"stats={STATS!r})",
+    ),
+    (_RoundContext, (None, {}, {}, {}, {}), "_RoundContext(table=None, terms={}, new_terms={}, self_delta={}, self_old={})"),
+    (EntailmentReport, (True, None, None, ()), "EntailmentReport(holds=True, map=None, proof=None, missing=())"),
+    (Violation, ("Simple.1", "x"), "Violation(condition='Simple.1', detail='x')"),
+    (
+        SatisfactionReport,
+        (False, (Violation("Simple.1", "x"),)),
+        "SatisfactionReport(satisfied=False, violations=(Violation(condition='Simple.1', detail='x'),))",
+    ),
+    (
+        Interpretation,
+        (frozenset({A}), frozenset(), frozenset({A}), frozenset(), {}, {A: frozenset({A})}, {}, {A: A}),
+        "Interpretation(delta_r=frozenset({Iri(name='a')}), delta_p=frozenset(), delta_c=frozenset({Iri(name='a')}), "
+        "delta_l=frozenset(), ext_p_pos={}, ext_c_pos={Iri(name='a'): frozenset({Iri(name='a')})}, complement={}, "
+        "denote={Iri(name='a'): Iri(name='a')})",
+    ),
+]
+
+
+@pytest.mark.parametrize("cls, fields, text", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+class TestRecords:
+    """Behaviour every record class keeps: set and dict order, proofs and
+    the 6c/7c term order all depend on these hashes and reprs."""
+
+    def test_repr(self, cls, fields, text):
+        assert repr(cls(*fields)) == text
+
+    def test_equal_and_hashed_by_fields(self, cls, fields, text):
+        record = cls(*fields)
+        assert record == cls(*fields)
+        assert record != fields
+        try:
+            expected = hash(fields)
+        except TypeError:
+            with pytest.raises(TypeError):
+                hash(record)
+        else:
+            assert hash(record) == expected
+
+    def test_fields_cannot_be_assigned(self, cls, fields, text):
+        record = cls(*fields)
+        name = text[len(cls.__name__) + 1 :].split("=")[0]  # the first field
+        with pytest.raises(AttributeError):
+            setattr(record, name, fields[0])
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        assert getattr(record, name) is fields[0]
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+    def test_pickle_and_deepcopy_round_trips(self, cls, fields, text):
+        record = cls(*fields)
+        for twin in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record), copy.copy(record)):
+            assert type(twin) is cls
+            assert twin == record
+            assert repr(twin) == text
+
+
+class TestRecordDetails:
+    def test_terms_of_different_kinds_differ(self):
+        assert Iri("a") != Blank("a")
+        assert Iri("a") != Literal("a")
+        assert Blank("a") != Literal("a")
+        assert len({Iri("a"), Blank("a"), Literal("a")}) == 3
+
+    def test_constructor_defaults(self):
+        step = ProofStep(RuleId.R1B, (), T)
+        assert (step.map, step.targets) == (None, ())
+        report = EntailmentReport(False)
+        assert (report.map, report.proof, report.missing) == (None, None, ())
+        assert SatisfactionReport(True).violations == ()
+        assert EntailmentReport(holds=True, missing=(T,)) == EntailmentReport(True, None, None, (T,))
+
+    def test_interpretation_cache_is_not_a_field(self):
+        i = Interpretation(*RECORDS[-1][1])
+        twin = Interpretation(*RECORDS[-1][1])
+        i._cache["x"] = 1
+        assert i == twin
+        assert "_cache" not in repr(i)
+
+
+class TestPackage:
+    def test_every_public_name_is_its_home_module_object(self):
+        modules = [importlib.import_module(f"rhodf.{m}") for m in ("core", "parser", "reasoner", "entailment", "semantics", "generators")]
+        for name in rhodf.__all__:
+            homes = [m for m in modules if name in vars(m)]
+            assert homes, name
+            assert getattr(rhodf, name) is getattr(homes[0], name), name
+        assert set(rhodf.__all__) <= set(dir(rhodf))
+
+    def test_unknown_names_raise_attribute_error(self):
+        with pytest.raises(AttributeError):
+            rhodf.no_such_name

@@ -67,6 +67,15 @@ class TestTermRoundTrip:
             with pytest.raises(ValueError):
                 parse_term(bad)
 
+    def test_a_term_may_not_span_lines(self):
+        """As in a statement, which parse_graph_lenient reports when split."""
+        for text in ("!\na", "*\n c"):
+            for parse in (parse_term, reference_parser.parse_term):
+                with pytest.raises(ValueError, match="expected exactly one term"):
+                    parse(text)
+            assert parse_graph_lenient(f"x p {text} .")[1]
+        assert parse_term("\n!a  # note\n\n") == Neg(Iri("a"))
+
 
 class TestGraphParsing:
     def test_comments_and_blank_lines_are_skipped(self):

@@ -1,5 +1,6 @@
 """Closure engine tests: fixpoints, rule sets, provenance and growth."""
 
+import itertools
 import pathlib
 
 import pytest
@@ -29,8 +30,9 @@ from rhodf import (
     random_graph,
     recognize_domains,
     spchain,
+    validate_triple,
 )
-from rhodf.reasoner import MODE_RULE_IDS
+from rhodf.reasoner import MODE_RULE_IDS, TermTable
 from term_engine import term_closure
 
 A, B, C, D = Iri("a"), Iri("b"), Iri("c"), Iri("d")
@@ -247,6 +249,24 @@ def oracle_inputs():
     yield spchain(48)
     for seed in range(300):
         yield random_graph(seed=seed, max_triples=20, max_terms=8, salt_contradiction=seed % 4 == 0)
+
+
+class TestTermTable:
+    def test_valid_agrees_with_validate_triple(self):
+        """The closure builds its triples without validating them again,
+        so the table's check must be validate_triple's on every id triple:
+        here over the terms of the fixtures and of 50 random graphs, with
+        the complements and stars the table interns beside them."""
+        fixtures = [parse_graph(p.read_text()) for p in sorted((pathlib.Path(__file__).parent / "fixtures").glob("*.rnt"))]
+        for graphs in (fixtures, [random_graph(seed=seed) for seed in range(50)]):
+            table = TermTable()
+            for g in graphs:
+                for t in g:
+                    table.encode(t)
+            terms = table.terms
+            keys = list(itertools.product(range(len(terms)), repeat=3))
+            assert [table.valid(*k) for k in keys] == [not validate_triple(terms[s], terms[p], terms[o]) for s, p, o in keys]
+            assert any(isinstance(t, Star) for t in terms) and any(isinstance(t, Neg) for t in terms)
 
 
 class TestTermEngineOracle:
