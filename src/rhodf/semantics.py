@@ -26,6 +26,15 @@ existentially.  Their assignments over the resource domain are found by
 <rhodf.entailment.find_map>` runs: each triple's candidates are the
 values of its unbound blanks under which it holds, so a triple that can
 no longer hold cuts the search off before its other blanks are tried.
+
+The conditions come in mirrored pairs, and each family is one
+definition (a nested function or a loop over a two-row table) run once
+per side, with a pair index that is 0 on the subject or domain side
+and 1 on the object or range side: Subproperty/Subclass .1-.3, Typing
+I.2-I.5 and II.2/II.3, Disjointness I.1-I.4 and II.1-II.4, Simple.2-.5
+and the extension checks of ``_structural_violations``.  ``_saturate``
+fills both typing sides in one loop and both star positions from one
+list.
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ from __future__ import annotations
 import itertools
 import re
 from typing import (
+    Callable,
     Dict,
     FrozenSet,
     Hashable,
@@ -102,8 +112,9 @@ class Interpretation(Record):
     elements without an entry have empty extensions.  Negative
     extensions are not stored: they are read off the complement map,
     so ``neg_pairs(p)`` is the positive extension of ``p``'s complement
-    when one is registered and empty otherwise.  ``_cache`` keeps the
-    model checker's graph-independent findings; it is not a field.
+    when one is registered and, as no element is ``None``, empty
+    otherwise.  ``_cache`` keeps the model checker's graph-independent
+    findings; it is not a field.
     """
 
     __slots__ = ("delta_r", "delta_p", "delta_c", "delta_l", "ext_p_pos", "ext_c_pos", "complement", "denote", "_cache")
@@ -127,19 +138,30 @@ class Interpretation(Record):
         return self.ext_p_pos.get(p, _EMPTY_PAIRS)
 
     def neg_pairs(self, p: Element) -> FrozenSet[Pair]:
-        mate = self.complement.get(p)
-        if mate is None:
-            return _EMPTY_PAIRS
-        return self.ext_p_pos.get(mate, _EMPTY_PAIRS)
+        return self.pos_pairs(self.complement.get(p))
 
     def pos_members(self, c: Element) -> FrozenSet[Element]:
         return self.ext_c_pos.get(c, _EMPTY_MEMBERS)
 
     def neg_members(self, c: Element) -> FrozenSet[Element]:
-        mate = self.complement.get(c)
-        if mate is None:
-            return _EMPTY_MEMBERS
-        return self.ext_c_pos.get(mate, _EMPTY_MEMBERS)
+        return self.pos_members(self.complement.get(c))
+
+
+def _frozen(
+    domains: Sequence[Set[Element]],
+    ext_p_pos: Dict[Element, Set[Pair]],
+    ext_c_pos: Dict[Element, Set[Element]],
+    complement: Dict[Element, Element],
+    denote: Dict[Term, Element],
+) -> Interpretation:
+    """The interpretation over built-up domains, given in field order, and extensions."""
+    return Interpretation(
+        *map(frozenset, domains),
+        {k: frozenset(v) for k, v in ext_p_pos.items()},
+        {k: frozenset(v) for k, v in ext_c_pos.items()},
+        complement,
+        denote,
+    )
 
 
 def project(pairs: Iterable[Pair], side: str) -> FrozenSet[Element]:
@@ -178,8 +200,7 @@ def _saturate(
     ext_p_pos: Dict[Element, Set[Pair]],
     ext_c_pos: Dict[Element, Set[Element]],
     complement: Mapping[Element, Element],
-    star_obj: Sequence[Tuple[Element, Element, Element]],
-    star_subj: Sequence[Tuple[Element, Element, Element]],
+    stars: Sequence[Tuple[Element, Element, Element, int]],
 ) -> None:
     """Grow the closure-backed extensions to their semantic fixpoint.
 
@@ -194,11 +215,14 @@ def _saturate(
     synchronized throughout.  The extensions of the reserved vocabulary
     elements other than ``type`` are never touched, so every addition
     here is forced by a satisfaction condition on models of the graph.
+
+    ``stars`` holds one ``(e, p, c, k)`` per star statement: ``p``
+    pairs each member of ``c``, at pair index ``k``, with ``e``.
     """
     sp_pairs = list(ext_p_pos.get(SP, ()))
     sc_pairs = list(ext_p_pos.get(SC, ()))
-    dom_pairs = list(ext_p_pos.get(DOM, ()))
-    rng_pairs = list(ext_p_pos.get(RANGE, ()))
+    # (k, p, c): the elements at index k of p's pairs are members of c.
+    typing = [(k, p, c) for k, rel in ((0, DOM), (1, RANGE)) for p, c in ext_p_pos.get(rel, ())]
     changed = False
 
     def add_pair(p: Element, pr: Pair) -> None:
@@ -224,48 +248,29 @@ def _saturate(
         for c, d in sc_pairs:
             for x in list(ext_c_pos.get(c, ())):
                 add_member(d, x)
-        for p, c in dom_pairs:
-            for x, _ in list(ext_p_pos.get(p, ())):
-                add_member(c, x)
-        for p, c in rng_pairs:
-            for _, y in list(ext_p_pos.get(p, ())):
-                add_member(c, y)
-        for p, c in dom_pairs:
+        for k, p, c in typing:
+            for pr in list(ext_p_pos.get(p, ())):
+                add_member(c, pr[k])
             np_, nc = complement.get(p), complement.get(c)
             if np_ is None or nc is None:
                 continue
             neg_m = ext_c_pos.get(nc, _EMPTY_MEMBERS)
             if not neg_m:
                 continue
-            for _, y in list(ext_p_pos.get(p, ())):
+            # Each member of c's complement pairs through p's complement
+            # with every element on the other side of p's pairs.
+            for pr in list(ext_p_pos.get(p, ())):
+                y = pr[1 - k]
                 for x in list(neg_m):
-                    add_pair(np_, (x, y))
-        for p, c in rng_pairs:
+                    add_pair(np_, (x, y) if k == 0 else (y, x))
+        for e, p, c, k in stars:
+            for x in list(ext_c_pos.get(c, ())):
+                add_pair(p, (x, e) if k == 0 else (e, x))
             np_, nc = complement.get(p), complement.get(c)
-            if np_ is None or nc is None:
-                continue
-            neg_m = ext_c_pos.get(nc, _EMPTY_MEMBERS)
-            if not neg_m:
-                continue
-            for x, _ in list(ext_p_pos.get(p, ())):
-                for y in list(neg_m):
-                    add_pair(np_, (x, y))
-        for s_el, p_el, c_el in star_obj:
-            for y in list(ext_c_pos.get(c_el, ())):
-                add_pair(p_el, (s_el, y))
-            np_, nc = complement.get(p_el), complement.get(c_el)
             if np_ is not None and nc is not None:
-                for x, y in list(ext_p_pos.get(np_, ())):
-                    if x == s_el:
-                        add_member(nc, y)
-        for o_el, p_el, c_el in star_subj:
-            for x in list(ext_c_pos.get(c_el, ())):
-                add_pair(p_el, (x, o_el))
-            np_, nc = complement.get(p_el), complement.get(c_el)
-            if np_ is not None and nc is not None:
-                for x, y in list(ext_p_pos.get(np_, ())):
-                    if y == o_el:
-                        add_member(nc, x)
+                for pr in list(ext_p_pos.get(np_, ())):
+                    if pr[1 - k] == e:
+                        add_member(nc, pr[k])
         if not changed:
             return
 
@@ -292,20 +297,19 @@ def canonical_model(g: Graph, cap: Optional[int] = None) -> "Interpretation":
     delta_r: Set[Element] = set(delta_c)
     ext_p_pos: Dict[Element, Set[Pair]] = {}
     ext_c_pos: Dict[Element, Set[Element]] = {}
-    star_obj: List[Tuple[Element, Element, Element]] = []
-    star_subj: List[Tuple[Element, Element, Element]] = []
+    stars: List[Tuple[Element, Element, Element, int]] = []
     for t in cl:
         for x in (t.s, t.o):
             if isinstance(x, Star):
                 delta_r.add(x.cls)
             else:
                 delta_r.add(x)
-        if not isinstance(t.s, Star) and not isinstance(t.o, Star):
-            ext_p_pos.setdefault(t.p, set()).add((t.s, t.o))
         if isinstance(t.o, Star):
-            star_obj.append((t.s, t.p, t.o.cls))
-        if isinstance(t.s, Star):
-            star_subj.append((t.o, t.p, t.s.cls))
+            stars.append((t.s, t.p, t.o.cls, 1))
+        elif isinstance(t.s, Star):
+            stars.append((t.o, t.p, t.s.cls, 0))
+        else:
+            ext_p_pos.setdefault(t.p, set()).add((t.s, t.o))
         if t.p == TYPE:
             ext_c_pos.setdefault(t.o, set()).add(t.s)
     complement: Dict[Element, Element] = {}
@@ -318,7 +322,7 @@ def canonical_model(g: Graph, cap: Optional[int] = None) -> "Interpretation":
         mate = complement.get(el)
         if mate is not None:
             delta_r.add(mate)
-    _saturate(ext_p_pos, ext_c_pos, complement, star_obj, star_subj)
+    _saturate(ext_p_pos, ext_c_pos, complement, stars)
     delta_l = {el for el in delta_r if isinstance(el, Literal)}
     denote: Dict[Term, Element] = {}
     for el in delta_r | delta_p | delta_c:
@@ -326,16 +330,7 @@ def canonical_model(g: Graph, cap: Optional[int] = None) -> "Interpretation":
             denote[el] = el
     for v in RESERVED_VOCAB:
         denote[v] = v
-    return Interpretation(
-        delta_r=frozenset(delta_r),
-        delta_p=frozenset(delta_p),
-        delta_c=frozenset(delta_c),
-        delta_l=frozenset(delta_l),
-        ext_p_pos={k: frozenset(v) for k, v in ext_p_pos.items()},
-        ext_c_pos={k: frozenset(v) for k, v in ext_c_pos.items()},
-        complement=complement,
-        denote=denote,
-    )
+    return _frozen((delta_r, delta_p, delta_c, delta_l), ext_p_pos, ext_c_pos, complement, denote)
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +340,9 @@ def canonical_model(g: Graph, cap: Optional[int] = None) -> "Interpretation":
 
 def _structural_violations(i: Interpretation) -> List[Violation]:
     out: List[Violation] = []
-    for el in i.delta_c - i.delta_r:
-        out.append(Violation("Interpretation.ClassDomain", f"class element {_fmt(el)} is not a resource"))
-    for el in i.delta_l - i.delta_r:
-        out.append(Violation("Interpretation.LiteralDomain", f"literal element {_fmt(el)} is not a resource"))
+    for name, dom in (("Class", i.delta_c), ("Literal", i.delta_l)):
+        for el in dom - i.delta_r:
+            out.append(Violation(f"Interpretation.{name}Domain", f"{name.lower()} element {_fmt(el)} is not a resource"))
     for x, y in i.complement.items():
         if i.complement.get(y) != x:
             out.append(Violation("Interpretation.Complement.Involution", f"complement of {_fmt(x)} is {_fmt(y)} but not back"))
@@ -360,18 +354,16 @@ def _structural_violations(i: Interpretation) -> List[Violation]:
                         f"{_fmt(x)} is a {name} element but its complement {_fmt(y)} is not",
                     )
                 )
-    for p, pairs in i.ext_p_pos.items():
-        if p not in i.delta_p:
-            out.append(Violation("Interpretation.PropertyExtension.Domain", f"{_fmt(p)} has pairs but is not a property element"))
-        for x, y in pairs:
-            if x not in i.delta_r or y not in i.delta_r:
-                out.append(Violation("Interpretation.PropertyExtension.Range", f"pair {_fmt_pair((x, y))} of {_fmt(p)} leaves the resource domain"))
-    for c, members in i.ext_c_pos.items():
-        if c not in i.delta_c:
-            out.append(Violation("Interpretation.ClassExtension.Domain", f"{_fmt(c)} has members but is not a class element"))
-        for x in members:
-            if x not in i.delta_r:
-                out.append(Violation("Interpretation.ClassExtension.Range", f"member {_fmt(x)} of {_fmt(c)} is not a resource"))
+    for name, ext, dom, entries, inside, outside in (
+        ("Property", i.ext_p_pos, i.delta_p, "pairs", i.delta_r.issuperset, lambda pr, p: f"pair {_fmt_pair(pr)} of {p} leaves the resource domain"),
+        ("Class", i.ext_c_pos, i.delta_c, "members", i.delta_r.__contains__, lambda x, c: f"member {_fmt(x)} of {c} is not a resource"),
+    ):
+        for e, items in ext.items():
+            if e not in dom:
+                out.append(Violation(f"Interpretation.{name}Extension.Domain", f"{_fmt(e)} has {entries} but is not a {name.lower()} element"))
+            for x in items:
+                if not inside(x):
+                    out.append(Violation(f"Interpretation.{name}Extension.Range", outside(x, _fmt(e))))
     union = i.delta_r | i.delta_p
     for t, el in i.denote.items():
         if el not in union:
@@ -410,49 +402,38 @@ def _global_violations(i: Interpretation) -> List[Violation]:
     dom_p, rng_p = pairs(DOM), pairs(RANGE)
     botc_p, botp_p = pairs(BOTC), pairs(BOTP)
 
-    def succ(rel: FrozenSet[Pair]) -> Dict[Element, Set[Element]]:
-        m: Dict[Element, Set[Element]] = {}
+    def hierarchy(
+        name: str,
+        rel: FrozenSet[Pair],
+        dom: FrozenSet[Element],
+        kind: str,
+        ext: Callable[[Element], FrozenSet[Hashable]],
+        entry: Callable[[Hashable], str],
+    ) -> None:
+        # Subproperty.1-3 over sp and pair extensions, Subclass.1-3 over
+        # sc and members; ``entry`` names one pair or one member.
+        succ: Dict[Element, Set[Element]] = {}
         for x, y in rel:
-            m.setdefault(x, set()).add(y)
-        return m
+            succ.setdefault(x, set()).add(y)
+        for a, bs in succ.items():
+            for b in bs:
+                for c in succ.get(b, ()):
+                    if c not in bs:
+                        out.append(Violation(f"{name}.1", f"{_fmt(a)} under {_fmt(b)} under {_fmt(c)} but not {_fmt(a)} under {_fmt(c)}"))
+        for p, q in rel:
+            if p not in dom or q not in dom:
+                out.append(Violation(f"{name}.2", f"{name.lower()} pair {_fmt_pair((p, q))} leaves the {kind} domain"))
+                continue
+            for x in ext(p) - ext(q):
+                out.append(Violation(f"{name}.2", f"{entry(x)} of {_fmt(p)} is missing from {_fmt(q)}"))
+            if _is_negative_element(p) or _is_negative_element(q):
+                continue
+            cp, cq = i.complement.get(p), i.complement.get(q)
+            if cp is not None and cq is not None and (cq, cp) not in rel:
+                out.append(Violation(f"{name}.3", f"{_fmt_pair((p, q))} holds but not the contrapositive {_fmt_pair((cq, cp))}"))
 
-    # Subproperty conditions.
-    sp_succ = succ(sp_p)
-    for a, bs in sp_succ.items():
-        for b in bs:
-            for c in sp_succ.get(b, ()):
-                if c not in bs:
-                    out.append(Violation("Subproperty.1", f"{_fmt(a)} under {_fmt(b)} under {_fmt(c)} but not {_fmt(a)} under {_fmt(c)}"))
-    for p, q in sp_p:
-        if p not in i.delta_p or q not in i.delta_p:
-            out.append(Violation("Subproperty.2", f"subproperty pair {_fmt_pair((p, q))} leaves the property domain"))
-            continue
-        for pr in i.pos_pairs(p) - i.pos_pairs(q):
-            out.append(Violation("Subproperty.2", f"pair {_fmt_pair(pr)} of {_fmt(p)} is missing from {_fmt(q)}"))
-        if _is_negative_element(p) or _is_negative_element(q):
-            continue
-        cp, cq = i.complement.get(p), i.complement.get(q)
-        if cp is not None and cq is not None and (cq, cp) not in sp_p:
-            out.append(Violation("Subproperty.3", f"{_fmt_pair((p, q))} holds but not the contrapositive {_fmt_pair((cq, cp))}"))
-
-    # Subclass conditions.
-    sc_succ = succ(sc_p)
-    for a, bs in sc_succ.items():
-        for b in bs:
-            for c in sc_succ.get(b, ()):
-                if c not in bs:
-                    out.append(Violation("Subclass.1", f"{_fmt(a)} under {_fmt(b)} under {_fmt(c)} but not {_fmt(a)} under {_fmt(c)}"))
-    for c, d in sc_p:
-        if c not in i.delta_c or d not in i.delta_c:
-            out.append(Violation("Subclass.2", f"subclass pair {_fmt_pair((c, d))} leaves the class domain"))
-            continue
-        for x in i.pos_members(c) - i.pos_members(d):
-            out.append(Violation("Subclass.2", f"member {_fmt(x)} of {_fmt(c)} is missing from {_fmt(d)}"))
-        if _is_negative_element(c) or _is_negative_element(d):
-            continue
-        cc, cd = i.complement.get(c), i.complement.get(d)
-        if cc is not None and cd is not None and (cd, cc) not in sc_p:
-            out.append(Violation("Subclass.3", f"{_fmt_pair((c, d))} holds but not the contrapositive {_fmt_pair((cd, cc))}"))
+    hierarchy("Subproperty", sp_p, i.delta_p, "property", i.pos_pairs, lambda pr: f"pair {_fmt_pair(pr)}")
+    hierarchy("Subclass", sc_p, i.delta_c, "class", i.pos_members, lambda x: f"member {_fmt(x)}")
 
     # Typing I: extension of type agrees with class membership.
     for c in i.ext_c_pos:
@@ -464,53 +445,41 @@ def _global_violations(i: Interpretation) -> List[Violation]:
     for x, c in typ_p:
         if c in i.delta_c and x not in i.pos_members(c):
             out.append(Violation("Typing I.1", f"type pair {_fmt_pair((x, c))} without class membership"))
-    for p, c in dom_p:
-        if c not in i.delta_c:
-            continue
-        for x, y in i.pos_pairs(p):
-            if x not in i.pos_members(c):
-                out.append(Violation("Typing I.2", f"subject {_fmt(x)} of {_fmt(p)} is not in domain class {_fmt(c)}"))
-        nm = i.neg_members(c)
-        if nm and i.complement.get(p) is not None:
-            # The condition constrains the negative extension of p, so it
-            # is vacuous for an element with no complement.
-            npairs = i.neg_pairs(p)
-            for y in project(i.pos_pairs(p), "down"):
-                for x in nm:
-                    if (x, y) not in npairs:
-                        out.append(Violation("Typing I.4", f"{_fmt(x)} outside domain class {_fmt(c)} lacks negative pair with {_fmt(y)} for {_fmt(p)}"))
-    for p, c in rng_p:
-        if c not in i.delta_c:
-            continue
-        for x, y in i.pos_pairs(p):
-            if y not in i.pos_members(c):
-                out.append(Violation("Typing I.3", f"object {_fmt(y)} of {_fmt(p)} is not in range class {_fmt(c)}"))
-        nm = i.neg_members(c)
-        if nm and i.complement.get(p) is not None:
-            npairs = i.neg_pairs(p)
-            for x in project(i.pos_pairs(p), "up"):
-                for y in nm:
-                    if (x, y) not in npairs:
-                        out.append(Violation("Typing I.5", f"{_fmt(y)} outside range class {_fmt(c)} lacks negative pair with {_fmt(x)} for {_fmt(p)}"))
+    # Typing I.2/I.4 at pair index 0 (domain), I.3/I.5 at index 1 (range).
+    for k, rel, cond, neg_cond, side, kind in (
+        (0, dom_p, "Typing I.2", "Typing I.4", "subject", "domain"),
+        (1, rng_p, "Typing I.3", "Typing I.5", "object", "range"),
+    ):
+        for p, c in rel:
+            if c not in i.delta_c:
+                continue
+            for pr in i.pos_pairs(p):
+                if pr[k] not in i.pos_members(c):
+                    out.append(Violation(cond, f"{side} {_fmt(pr[k])} of {_fmt(p)} is not in {kind} class {_fmt(c)}"))
+            nm = i.neg_members(c)
+            if nm and i.complement.get(p) is not None:
+                # The condition constrains the negative extension of p, so it
+                # is vacuous for an element with no complement.
+                npairs = i.neg_pairs(p)
+                for y in project(i.pos_pairs(p), ("down", "up")[k]):
+                    for x in nm:
+                        if ((x, y) if k == 0 else (y, x)) not in npairs:
+                            out.append(Violation(neg_cond, f"{_fmt(x)} outside {kind} class {_fmt(c)} lacks negative pair with {_fmt(y)} for {_fmt(p)}"))
 
     # Typing II: domain membership of the reserved machinery.
-    for p, c in dom_p:
-        if p not in i.delta_p or c not in i.delta_c:
-            out.append(Violation("Typing II.2", f"domain pair {_fmt_pair((p, c))} leaves the property/class domains"))
-    for p, c in rng_p:
-        if p not in i.delta_p or c not in i.delta_c:
-            out.append(Violation("Typing II.3", f"range pair {_fmt_pair((p, c))} leaves the property/class domains"))
+    for rel, cond, kind in ((dom_p, "Typing II.2", "domain"), (rng_p, "Typing II.3", "range")):
+        for p, c in rel:
+            if p not in i.delta_p or c not in i.delta_c:
+                out.append(Violation(cond, f"{kind} pair {_fmt_pair((p, c))} leaves the property/class domains"))
     for x, c in typ_p:
         if c not in i.delta_c:
             out.append(Violation("Typing II.4", f"type pair {_fmt_pair((x, c))} targets a non-class"))
 
     # Disjointness I: the disjointness relations themselves.
-    for c, d in botc_p:
-        if c not in i.delta_c or d not in i.delta_c:
-            out.append(Violation("Disjointness I.1", f"class disjointness pair {_fmt_pair((c, d))} leaves the class domain"))
-    for p, q in botp_p:
-        if p not in i.delta_p or q not in i.delta_p:
-            out.append(Violation("Disjointness I.2", f"property disjointness pair {_fmt_pair((p, q))} leaves the property domain"))
+    for rel, dom, cond, kind in ((botc_p, i.delta_c, "Disjointness I.1", "class"), (botp_p, i.delta_p, "Disjointness I.2", "property")):
+        for c, d in rel:
+            if c not in dom or d not in dom:
+                out.append(Violation(cond, f"{kind} disjointness pair {_fmt_pair((c, d))} leaves the {kind} domain"))
 
     def disjointness_family(rel: FrozenSet[Pair], sub: FrozenSet[Pair], dom: FrozenSet[Element], label: str) -> None:
         for c, d in rel:
@@ -534,47 +503,40 @@ def _global_violations(i: Interpretation) -> List[Violation]:
     disjointness_family(botc_p, sc_p, i.delta_c, "Disjointness I.3")
     disjointness_family(botp_p, sp_p, i.delta_p, "Disjointness I.4")
 
-    # Disjointness II: interaction with dom/range and complements.
-    dom_by_class: Dict[Element, Set[Element]] = {}
-    for p, c in dom_p:
-        dom_by_class.setdefault(c, set()).add(p)
-    rng_by_class: Dict[Element, Set[Element]] = {}
-    for p, c in rng_p:
-        rng_by_class.setdefault(c, set()).add(p)
+    # Disjointness II.1/II.2: disjoint domain or range classes make their
+    # properties disjoint.  One pass over botc_p, so the two interleave.
+    typed_by_class: List[Tuple[str, str, Dict[Element, Set[Element]]]] = []
+    for rel, cond, kind in ((dom_p, "Disjointness II.1", "domains"), (rng_p, "Disjointness II.2", "ranges")):
+        by_class: Dict[Element, Set[Element]] = {}
+        for p, c in rel:
+            by_class.setdefault(c, set()).add(p)
+        typed_by_class.append((cond, kind, by_class))
     for c, d in botc_p:
-        for p in dom_by_class.get(c, ()):
-            for q in dom_by_class.get(d, ()):
-                if (p, q) not in botp_p:
-                    out.append(Violation("Disjointness II.1", f"domains {_fmt(c)}, {_fmt(d)} disjoint but properties {_fmt_pair((p, q))} are not"))
-        for p in rng_by_class.get(c, ()):
-            for q in rng_by_class.get(d, ()):
-                if (p, q) not in botp_p:
-                    out.append(Violation("Disjointness II.2", f"ranges {_fmt(c)}, {_fmt(d)} disjoint but properties {_fmt_pair((p, q))} are not"))
-    for c, d in botc_p:
-        if _is_negative_element(d):
-            continue
-        cd = i.complement.get(d)
-        if cd is not None and (c, cd) not in sc_p:
-            out.append(Violation("Disjointness II.3", f"{_fmt_pair((c, d))} disjoint but {_fmt(c)} not below complement {_fmt(cd)}"))
-    for c, e in sc_p:
-        if _is_negative_element(e):
-            continue
-        ce = i.complement.get(e)
-        if ce is not None and (c, ce) not in botc_p:
-            out.append(Violation("Disjointness II.3", f"{_fmt(c)} below {_fmt(e)} but not disjoint from complement {_fmt(ce)}"))
-    for p, q in botp_p:
-        if _is_negative_element(q):
-            continue
-        cq = i.complement.get(q)
-        if cq is not None and (p, cq) not in sp_p:
-            out.append(Violation("Disjointness II.4", f"{_fmt_pair((p, q))} disjoint but {_fmt(p)} not below complement {_fmt(cq)}"))
-    for p, q in sp_p:
-        if _is_negative_element(q):
-            continue
-        cq = i.complement.get(q)
-        if cq is not None and (p, cq) not in botp_p:
-            out.append(Violation("Disjointness II.4", f"{_fmt(p)} below {_fmt(q)} but not disjoint from complement {_fmt(cq)}"))
+        for cond, kind, by_class in typed_by_class:
+            for p in by_class.get(c, ()):
+                for q in by_class.get(d, ()):
+                    if (p, q) not in botp_p:
+                        out.append(Violation(cond, f"{kind} {_fmt(c)}, {_fmt(d)} disjoint but properties {_fmt_pair((p, q))} are not"))
+    # Disjointness II.3 over cdisj and sc, II.4 over pdisj and sp.
+    for cond, disj, sub in (("Disjointness II.3", botc_p, sc_p), ("Disjointness II.4", botp_p, sp_p)):
+        for c, d in disj:
+            if _is_negative_element(d):
+                continue
+            cd = i.complement.get(d)
+            if cd is not None and (c, cd) not in sub:
+                out.append(Violation(cond, f"{_fmt_pair((c, d))} disjoint but {_fmt(c)} not below complement {_fmt(cd)}"))
+        for c, e in sub:
+            if _is_negative_element(e):
+                continue
+            ce = i.complement.get(e)
+            if ce is not None and (c, ce) not in disj:
+                out.append(Violation(cond, f"{_fmt(c)} below {_fmt(e)} but not disjoint from complement {_fmt(ce)}"))
     return out
+
+
+# Per star position (1 = object, 0 = subject): the condition on the star's
+# members, its wording, and the condition on the negative pairs.
+_STAR_CONDITIONS = {1: ("Simple.2", "is not reached", "Simple.4"), 0: ("Simple.3", "does not reach it", "Simple.5")}
 
 
 def _simple_violations(i: Interpretation, t: Triple, alpha: Mapping[Blank, Element]) -> List[Violation]:
@@ -583,46 +545,34 @@ def _simple_violations(i: Interpretation, t: Triple, alpha: Mapping[Blank, Eleme
             return alpha[x]
         return i.denote.get(x)
 
-    out: List[Violation] = []
+    k = 1 if isinstance(t.o, Star) else 0 if isinstance(t.s, Star) else None
     p_el = el(t.p)
     if p_el is None or p_el not in i.delta_p:
-        cond = "Simple.2" if isinstance(t.o, Star) else "Simple.3" if isinstance(t.s, Star) else "Simple.1"
-        out.append(Violation(cond, f"predicate of {_fmt_triple(t)} does not denote a property"))
-        return out
-    if isinstance(t.o, Star):
-        s_el, c_el = el(t.s), i.denote.get(t.o.cls)
-        if s_el is None or c_el is None or c_el not in i.delta_c:
-            out.append(Violation("Simple.2", f"terms of {_fmt_triple(t)} lack denotations in the right domains"))
-            return out
-        ppos = i.pos_pairs(p_el)
-        for y in i.pos_members(c_el):
-            if (s_el, y) not in ppos:
-                out.append(Violation("Simple.2", f"{_fmt_triple(t)}: member {_fmt(y)} of {_fmt(c_el)} is not reached"))
-        nneg = i.neg_members(c_el)
-        for x, y in i.neg_pairs(p_el):
-            if x == s_el and y not in nneg:
-                out.append(Violation("Simple.4", f"{_fmt_triple(t)}: negative pair with {_fmt(y)} outside the complement of {_fmt(c_el)}"))
-        return out
-    if isinstance(t.s, Star):
-        o_el, c_el = el(t.o), i.denote.get(t.s.cls)
-        if o_el is None or c_el is None or c_el not in i.delta_c:
-            out.append(Violation("Simple.3", f"terms of {_fmt_triple(t)} lack denotations in the right domains"))
-            return out
-        ppos = i.pos_pairs(p_el)
-        for x in i.pos_members(c_el):
-            if (x, o_el) not in ppos:
-                out.append(Violation("Simple.3", f"{_fmt_triple(t)}: member {_fmt(x)} of {_fmt(c_el)} does not reach it"))
-        nneg = i.neg_members(c_el)
-        for x, y in i.neg_pairs(p_el):
-            if y == o_el and x not in nneg:
-                out.append(Violation("Simple.5", f"{_fmt_triple(t)}: negative pair with {_fmt(x)} outside the complement of {_fmt(c_el)}"))
-        return out
-    s_el, o_el = el(t.s), el(t.o)
-    if s_el is None or o_el is None:
-        out.append(Violation("Simple.1", f"terms of {_fmt_triple(t)} lack denotations"))
-        return out
-    if (s_el, o_el) not in i.pos_pairs(p_el):
-        out.append(Violation("Simple.1", f"{_fmt_triple(t)} has no pair in the extension of {_fmt(p_el)}"))
+        cond = "Simple.1" if k is None else _STAR_CONDITIONS[k][0]
+        return [Violation(cond, f"predicate of {_fmt_triple(t)} does not denote a property")]
+    if k is None:
+        s_el, o_el = el(t.s), el(t.o)
+        if s_el is None or o_el is None:
+            return [Violation("Simple.1", f"terms of {_fmt_triple(t)} lack denotations")]
+        if (s_el, o_el) not in i.pos_pairs(p_el):
+            return [Violation("Simple.1", f"{_fmt_triple(t)} has no pair in the extension of {_fmt(p_el)}")]
+        return []
+    # The star at pair index k ranges over the members of its class; the
+    # term at the other index is the fixed element e.
+    cond, unreached, neg_cond = _STAR_CONDITIONS[k]
+    star = t.o if k else t.s
+    e_el, c_el = el(t.s if k else t.o), i.denote.get(star.cls)
+    if e_el is None or c_el is None or c_el not in i.delta_c:
+        return [Violation(cond, f"terms of {_fmt_triple(t)} lack denotations in the right domains")]
+    out: List[Violation] = []
+    ppos = i.pos_pairs(p_el)
+    for x in i.pos_members(c_el):
+        if ((x, e_el) if k == 0 else (e_el, x)) not in ppos:
+            out.append(Violation(cond, f"{_fmt_triple(t)}: member {_fmt(x)} of {_fmt(c_el)} {unreached}"))
+    nneg = i.neg_members(c_el)
+    for pr in i.neg_pairs(p_el):
+        if pr[1 - k] == e_el and pr[k] not in nneg:
+            out.append(Violation(neg_cond, f"{_fmt_triple(t)}: negative pair with {_fmt(pr[k])} outside the complement of {_fmt(c_el)}"))
     return out
 
 
@@ -702,6 +652,11 @@ def check_model(i: Interpretation, g: Graph) -> SatisfactionReport:
     return SatisfactionReport(satisfied=not violations, violations=tuple(violations))
 
 
+# The elements the reserved vocabulary denotes by default: itself in a
+# canonical model, its name in a loaded fixture.
+_VOCAB_ELEMENTS = RESERVED_VOCAB | {v.name for v in RESERVED_VOCAB}
+
+
 def serialize_interpretation(i: Interpretation) -> str:
     """Fixture-format dump of an interpretation, sorted for stability.
 
@@ -712,34 +667,23 @@ def serialize_interpretation(i: Interpretation) -> str:
     """
     lines: List[str] = []
     plain_r = i.delta_r - i.delta_c - i.delta_l
-    for el in sorted(plain_r, key=_fmt):
-        lines.append(f"R {_fmt(el)}")
-    for el in sorted(i.delta_p, key=_fmt):
-        if isinstance(el, Term) and el in RESERVED_VOCAB:
-            continue
-        if el in {v.name for v in RESERVED_VOCAB}:
-            continue
-        lines.append(f"P {_fmt(el)}")
-    for el in sorted(i.delta_c, key=_fmt):
-        lines.append(f"C {_fmt(el)}")
-    for el in sorted(i.delta_l, key=_fmt):
-        lines.append(f"L {_fmt(el)}")
+    for directive, dom in (("R", plain_r), ("P", i.delta_p - _VOCAB_ELEMENTS), ("C", i.delta_c), ("L", i.delta_l)):
+        for el in sorted(dom, key=_fmt):
+            lines.append(f"{directive} {_field(el)}")
     for p in sorted(i.ext_p_pos, key=_fmt):
         for s, o in sorted(i.ext_p_pos[p], key=lambda pr: (_fmt(pr[0]), _fmt(pr[1]))):
-            lines.append(f"P+ {_fmt(p)} {_fmt(s)} {_fmt(o)}")
+            lines.append(f"P+ {_field(p)} {_field(s)} {_field(o)}")
     for c in sorted(i.ext_c_pos, key=_fmt):
         for x in sorted(i.ext_c_pos[c], key=_fmt):
-            lines.append(f"C+ {_fmt(c)} {_fmt(x)}")
+            lines.append(f"C+ {_field(c)} {_field(x)}")
     for t in sorted(i.denote, key=serialize_term):
         el = i.denote[t]
-        if t in RESERVED_VOCAB and el in (t, t.name):
-            continue
         if isinstance(el, Term) and el == t:
             continue
         if isinstance(el, str):
             if el == serialize_term(t) or (isinstance(t, Literal) and el == t.lexical):
                 continue
-        lines.append(f"I {serialize_term(t)} {_fmt(el)}")
+        lines.append(f"I {serialize_term(t)} {_field(el)}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -753,6 +697,20 @@ def serialize_interpretation(i: Interpretation) -> str:
 # a field starts a comment.
 _FIELD = re.compile(r'#.*|([!*]*(?:<[^>]*>|"(?:[^"\\]|\\.)*"|[^\s#]+))')
 _LITERAL_ESCAPE = re.compile(r"\\(.)")
+
+# A string element written as it is must be one field on any line and read
+# back as itself: at most one leading ``!``, then a whole ``<...>`` or a
+# base that cannot open a bracketed, quoted or prefixed field.
+_PLAIN = re.compile(r'!?(?:\*[!*]*)?(?:<[^>]*>|[^\s#"<!*][^\s#]*)')
+_QUOTE = re.compile(r'["\\]')
+
+
+def _field(el: Element) -> str:
+    """``el`` as one fixture field that :func:`_element` reads back as ``el``."""
+    if not isinstance(el, str) or _PLAIN.fullmatch(el):
+        return _fmt(el)
+    bang = "!" if el.startswith("!") else ""
+    return bang + '"' + _QUOTE.sub(r"\\\g<0>", el[len(bang) :]) + '"'
 
 
 def _element(token: str) -> str:
@@ -789,8 +747,11 @@ def load_interpretation(text: str) -> Interpretation:
     ext_c_pos: Dict[Element, Set[Element]] = {}
     complement: Dict[Element, Element] = {}
     denote: Dict[Term, Element] = {}
+    # The domains an element declared as a resource, property, class or
+    # literal joins.
+    declared = {"R": (delta_r,), "P": (delta_p,), "C": (delta_c, delta_r), "L": (delta_l, delta_r)}
 
-    def element(token: str, lineno: int) -> str:
+    def element(token: str, lineno: int, kind: str = "") -> str:
         try:
             el = _element(token)
         except ValueError as exc:
@@ -798,6 +759,8 @@ def load_interpretation(text: str) -> Interpretation:
         if el.startswith("!"):
             complement[el] = el[1:]
             complement[el[1:]] = el
+        for dom in declared.get(kind, ()):
+            dom.add(el)
         return el
 
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -805,29 +768,13 @@ def load_interpretation(text: str) -> Interpretation:
         if not parts:
             continue
         directive, args = parts[0], parts[1:]
-        if directive == "R" and len(args) == 1:
-            delta_r.add(element(args[0], lineno))
-        elif directive == "P" and len(args) == 1:
-            delta_p.add(element(args[0], lineno))
-        elif directive == "C" and len(args) == 1:
-            el = element(args[0], lineno)
-            delta_c.add(el)
-            delta_r.add(el)
-        elif directive == "L" and len(args) == 1:
-            el = element(args[0], lineno)
-            delta_l.add(el)
-            delta_r.add(el)
+        if directive in declared and len(args) == 1:
+            element(args[0], lineno, directive)
         elif directive == "P+" and len(args) == 3:
-            p, s, o = (element(a, lineno) for a in args)
-            delta_p.add(p)
-            delta_r.add(s)
-            delta_r.add(o)
+            p, s, o = element(args[0], lineno, "P"), element(args[1], lineno, "R"), element(args[2], lineno, "R")
             ext_p_pos.setdefault(p, set()).add((s, o))
         elif directive == "C+" and len(args) == 2:
-            c, x = element(args[0], lineno), element(args[1], lineno)
-            delta_c.add(c)
-            delta_r.add(c)
-            delta_r.add(x)
+            c, x = element(args[0], lineno, "C"), element(args[1], lineno, "R")
             ext_c_pos.setdefault(c, set()).add(x)
         elif directive == "I" and len(args) == 2:
             try:
@@ -862,13 +809,4 @@ def load_interpretation(text: str) -> Interpretation:
             continue
         if isinstance(term, (Iri, Neg)) and term not in denote:
             denote[term] = el
-    return Interpretation(
-        delta_r=frozenset(delta_r),
-        delta_p=frozenset(delta_p),
-        delta_c=frozenset(delta_c),
-        delta_l=frozenset(delta_l),
-        ext_p_pos={k: frozenset(v) for k, v in ext_p_pos.items()},
-        ext_c_pos={k: frozenset(v) for k, v in ext_c_pos.items()},
-        complement=complement,
-        denote=denote,
-    )
+    return _frozen((delta_r, delta_p, delta_c, delta_l), ext_p_pos, ext_c_pos, complement, denote)

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import reference_semantics
 from rhodf import (
     TYPE,
     Blank,
     Graph,
+    Interpretation,
     Iri,
     Literal,
     Neg,
@@ -21,11 +23,13 @@ from rhodf import (
     canonical_model,
     check_model,
     closure,
+    cubic,
     load_interpretation,
     parse_graph,
     project,
     random_graph,
     serialize_interpretation,
+    spchain,
     try_triple,
 )
 from rhodf.semantics import _fmt, _fmt_pair, _simple_violations
@@ -212,22 +216,43 @@ class TestExistentialSearch:
             assert [v.condition for v in report.violations] == expected
 
 
+def defect(fixture, condition, graph=""):
+    # The id is the fixture and the condition, whether or not a graph is given.
+    return pytest.param(fixture, condition, graph, id=f"{fixture}-{condition}")
+
+
 class TestCountermodels:
     @pytest.mark.parametrize(
-        "fixture,condition",
+        "fixture,condition,graph",
         [
-            ("C c\nC d\nP+ cdisj c d\n", "Disjointness I.3.Symmetry"),
-            (
+            defect("C c\nC d\nP+ cdisj c d\n", "Disjointness I.3.Symmetry"),
+            defect(
                 "C a\nC b\nC c\nP+ cdisj a b\nP+ cdisj b a\nP+ sc c a\n",
                 "Disjointness I.3.Sub-Transitivity",
             ),
-            ("C c\nC d\nP+ cdisj c c\n", "Disjointness I.3.Exhaustive"),
-            ("C c\nC d\nC+ c x\nP+ type x c\nP+ sc c d\n", "Subclass.2"),
-            ("C c\nC+ c x\n", "Typing I.1"),
+            defect("C c\nC d\nP+ cdisj c c\n", "Disjointness I.3.Exhaustive"),
+            defect("C c\nC d\nC+ c x\nP+ type x c\nP+ sc c d\n", "Subclass.2"),
+            defect("C c\nC+ c x\n", "Typing I.1"),
+            defect("P p\nP q\nP r\nP+ sp p q\nP+ sp q r\n", "Subproperty.1"),
+            defect("P p\nP q\nP+ sp p q\nP+ p x y\n", "Subproperty.2"),
+            defect("P+ sp p q\n", "Subproperty.2"),
+            defect("P p\nP q\nP !p\nP !q\nP+ sp p q\n", "Subproperty.3"),
+            defect("C a\nC b\nC c\nP+ sc a b\nP+ sc b c\n", "Subclass.1"),
+            defect("P p\nC c\nP+ dom p c\nP+ p x y\n", "Typing I.2"),
+            defect("P p\nC c\nP+ range p c\nP+ p x y\n", "Typing I.3"),
+            defect("P p\nP !p\nC c\nC !c\nP+ range p c\nP+ p x y\nC+ !c z\nP+ type z !c\n", "Typing I.5"),
+            defect("P+ dom p c\n", "Typing II.2"),
+            defect("P+ range p c\n", "Typing II.3"),
+            defect("P p\nP q\nP+ pdisj p q\n", "Disjointness I.4.Symmetry"),
+            defect("P p\nP q\nC c\nC d\nP+ dom p c\nP+ dom q d\nP+ cdisj c d\nP+ cdisj d c\n", "Disjointness II.1"),
+            defect("P p\nP q\nC c\nC d\nP+ range p c\nP+ range q d\nP+ cdisj c d\nP+ cdisj d c\n", "Disjointness II.2"),
+            defect("P p\nP q\nP !q\nP+ pdisj p q\n", "Disjointness II.4"),
+            defect("C c\nP p\nR o\nC+ c x\nP+ type x c\n", "Simple.3", "*c p o ."),
+            defect("C c\nP p\nP !p\nR o\nP+ !p x o\n", "Simple.5", "*c p o ."),
         ],
     )
-    def test_known_defects_are_reported(self, fixture, condition):
-        report = check_model(load_interpretation(fixture), Graph())
+    def test_known_defects_are_reported(self, fixture, condition, graph):
+        report = check_model(load_interpretation(fixture), parse_graph(graph))
         assert not report.satisfied
         assert condition in {v.condition for v in report.violations}
 
@@ -317,13 +342,16 @@ class TestDisjointnessScan:
         assert all(n > 20 for n in found.values()), found
 
 
+DUMPED_OBJECTS = ['"hello world"', "<a b>", "<a#b>", '"a\\"b"', '"a\\\\b"', '""', '"a \\"b\\\\ c"']
+
+
 class TestInterpretationFixtures:
     def test_serialize_then_load_is_stable(self, medical_negative_text):
-        g = parse_graph(medical_negative_text)
-        first = serialize_interpretation(canonical_model(g))
-        second = serialize_interpretation(load_interpretation(first))
-        third = serialize_interpretation(load_interpretation(second))
-        assert second == third
+        for text in [medical_negative_text] + [f"x p {obj} ." for obj in DUMPED_OBJECTS]:
+            first = serialize_interpretation(canonical_model(parse_graph(text)))
+            second = serialize_interpretation(load_interpretation(first))
+            third = serialize_interpretation(load_interpretation(second))
+            assert second == third, text
 
     def test_reloaded_model_still_satisfies_the_graph(self, medical_text):
         g = parse_graph(medical_text)
@@ -344,7 +372,7 @@ class TestInterpretationFixtures:
         i = load_interpretation("R e1\nR e2\nI a e2\n")
         assert i.denote[Iri("a")] == "e2"
 
-    @pytest.mark.parametrize("obj", ['"hello world"', "<a b>", "<a#b>", '"a\\"b"', '"a\\\\b"', '""'])
+    @pytest.mark.parametrize("obj", DUMPED_OBJECTS)
     def test_dumped_model_with_spaces_hashes_and_escapes_reloads(self, obj):
         g = parse_graph(f"x p {obj} .")
         dump = serialize_interpretation(canonical_model(g))
@@ -355,3 +383,91 @@ class TestInterpretationFixtures:
         with pytest.raises(ValueError) as exc:
             load_interpretation("C c\n" + bad)
         assert "line 2" in str(exc.value)
+
+
+class TestReferenceSemantics:
+    """The model checker and the canonical model against
+    ``tests/reference_semantics.py``, where every mirrored condition is
+    written out once per side."""
+
+    NAMES = ["a", "b", "c", "d"]
+    VOCAB = ["sp", "sc", "type", "dom", "range", "cdisj", "pdisj"]
+    CONDITIONS = {
+        *(f"Interpretation.{name}" for name in ("ClassDomain", "LiteralDomain", "Vocabulary")),
+        *(f"Interpretation.Complement.{name}" for name in ("Involution", "Domain")),
+        *(f"Interpretation.{ext}Extension.{name}" for ext in ("Property", "Class") for name in ("Domain", "Range")),
+        *(f"Interpretation.Denotation.{name}" for name in ("Range", "Blank", "Literal", "Complement")),
+        *(f"{family}.{k}" for family in ("Subproperty", "Subclass") for k in (1, 2, 3)),
+        *(f"Typing I.{k}" for k in range(1, 6)),
+        *(f"Typing II.{k}" for k in range(1, 5)),
+        "Disjointness I.1",
+        "Disjointness I.2",
+        *(f"Disjointness I.{k}.{name}" for k in (3, 4) for name in ("Symmetry", "Sub-Transitivity", "Exhaustive")),
+        *(f"Disjointness II.{k}" for k in range(1, 5)),
+        *(f"Simple.{k}" for k in range(1, 6)),
+        "Simple.Existential",
+    }
+
+    @classmethod
+    def interpretation(cls, rng):
+        negated = ["!a", "!b", "!c"]
+        elements = cls.NAMES + negated + ['"v"', '"a b"']
+
+        def pick():
+            return rng.choice(elements)
+
+        lines = [f"{rng.choice('RPCL')} {pick()}" for _ in range(rng.randint(0, 8))]
+        for _ in range(rng.randint(0, 14)):
+            p = rng.choice(cls.VOCAB + negated) if rng.random() < 0.7 else pick()
+            lines.append(f"P+ {p} {pick()} {pick()}")
+        lines += [f"C+ {pick()} {pick()}" for _ in range(rng.randint(0, 5))]
+        terms = ["a", "!a", "_:x", '"v"', "sp", "dom"]
+        lines += [f"I {rng.choice(terms)} {pick()}" for _ in range(rng.randint(0, 2))]
+        i = load_interpretation("\n".join(lines) + "\n")
+        if rng.random() < 0.75:
+            return i
+
+        # load_interpretation closes the domains over the extensions and
+        # the complements; thinning them out again reaches the structural
+        # conditions.
+        def thin(items):
+            return [x for x in items if rng.random() < 0.85]
+
+        return Interpretation(
+            frozenset(thin(i.delta_r)),
+            frozenset(thin(i.delta_p)),
+            frozenset(thin(i.delta_c)),
+            i.delta_l,
+            i.ext_p_pos,
+            i.ext_c_pos,
+            {x: i.complement[x] for x in thin(i.complement)},
+            {t: i.denote[t] for t in thin(i.denote)},
+        )
+
+    @classmethod
+    def graph(cls, rng):
+        names = [Iri(n) for n in cls.NAMES + ["z"]]
+        nodes = names + [Neg(x) for x in names[:2]] + [Star(x) for x in names[:3]] + [Blank("x"), Blank("y"), Literal("v")]
+        preds = (names[:3] + [Neg(names[0])], [Iri(v) for v in cls.VOCAB])
+        triples = [try_triple(rng.choice(nodes), rng.choice(rng.choice(preds)), rng.choice(nodes)) for _ in range(rng.randint(0, 5))]
+        return Graph([t for t in triples if t is not None])
+
+    def test_violations_match_the_reference(self):
+        seen = set()
+        for seed in range(2000):
+            rng = random.Random(seed)
+            i, g = self.interpretation(rng), self.graph(rng)
+            report = check_model(i, g)
+            assert [str(v) for v in report.violations] == [str(v) for v in reference_semantics.check_model(i, g).violations], seed
+            seen.update(v.condition for v in report.violations)
+        assert seen == self.CONDITIONS, self.CONDITIONS ^ seen
+
+    def test_canonical_models_match_the_reference(self, medical_text, medical_negative_text):
+        graphs = [parse_graph(medical_text), parse_graph(medical_negative_text), spchain(48)]
+        graphs += [cubic(n) for n in range(1, 9)]
+        graphs += [random_graph(seed=seed, max_triples=20, max_terms=8, salt_contradiction=seed % 4 == 0) for seed in range(600)]
+        for g in graphs:
+            got, want = canonical_model(g), reference_semantics.canonical_model(g)
+            assert got == want, g.triples()
+            assert serialize_interpretation(got) == serialize_interpretation(want)
+            assert check_model(got, g) == reference_semantics.check_model(want, g)
