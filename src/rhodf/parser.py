@@ -283,10 +283,20 @@ def serialize_triple(t: Triple) -> str:
     return f"{serialize_term(t.s)} {serialize_term(t.p)} {serialize_term(t.o)} ."
 
 
+class _TermText(dict):
+    """Each term's serialized form, computed on first lookup."""
+
+    def __missing__(self, t: Term) -> str:
+        text = self[t] = serialize_term(t)
+        return text
+
+
 def serialize_graph(g: Graph) -> str:
     """Render one statement per line, sorted by the serialized terms.
 
     Sorting whole lines gives that order: a serialized term that is a
     proper prefix of another is a bare name or blank label, whose next
-    character sorts after the space that ends the shorter one."""
-    return "".join(sorted(f"{serialize_triple(t)}\n" for t in g))
+    character sorts after the space that ends the shorter one.  Each
+    distinct term is serialized once."""
+    text = _TermText()
+    return "".join(sorted([f"{text[t.s]} {text[t.p]} {text[t.o]} .\n" for t in g]))

@@ -24,9 +24,25 @@ Rules join over integers.  A :class:`TermTable` gives every term a dense
 id and answers, per id, what the rules ask of a term: its complement,
 its star, a star's subscript and the validity flags.  The index, the
 rounds' deltas and the matchers hold ``(s, p, o)`` id tuples, and a
-candidate is deduplicated and validated as such.  A :class:`Triple`
-and its :class:`ProofStep` are built only for a candidate that passes
-both, so once per closure triple, and the triple is not validated again.
+candidate is deduplicated and validated as such.  A :class:`Triple` is
+built only for a candidate that passes both, so once per closure
+triple, and it is not validated again.
+
+Rules 2b/3b lift instances up the ``sp``/``sc`` hierarchies and 6b/7b
+push disjointness down them, one hierarchy edge at a time.  While the
+transitivity rule of the hierarchy runs (2a for 2b and 7b, 3a for 3b
+and 6b), a lifting rule lifts only its *roots*, the triples it did not
+derive itself.  Nothing is lost: if ``t'`` came from ``t`` along the
+edge ``(A h B)``, lifting ``t'`` along the next edge ``(B h C)`` gives
+what lifting ``t`` along ``(A h C)`` gives, and the transitivity rule
+derives ``(A h C)``, a valid triple since ``A`` and ``C`` are neither
+reserved nor stars.  Without the transitivity rule, every triple is a
+root.  Rules 2d/2e list a subset of what 2b lists, so they do not run
+when 2b does; they still count in the stats, with 0.
+
+The closure keeps the rule and premise triples of each derived triple,
+and :attr:`ClosureResult.provenance` builds a :class:`ProofStep` from
+each when it is first read.
 
 The rules are mirrored pairs, and each family has one matcher factory,
 closed over a predicate id or a triple position (2 = object, 0 =
@@ -204,20 +220,38 @@ class ClosureResult(Record):
     """Closure graph plus provenance and domain bookkeeping.
 
     ``provenance`` maps each derived (non-input) triple to the first
-    :class:`ProofStep` that produced it.
+    :class:`ProofStep` that produced it.  :func:`closure` passes
+    ``None`` for it and, as ``_steps``, the ``(rule, premises)`` of each
+    derived triple in closure order: the mapping is then built on first
+    read, so a caller that never reads it never builds its steps.
     """
 
-    __slots__ = ("closure", "provenance", "class_terms", "property_terms", "stats")
+    __slots__ = ("closure", "provenance", "class_terms", "property_terms", "stats", "_steps")
 
     def __init__(
         self,
         closure: Graph,
-        provenance: Mapping[Triple, ProofStep],
+        provenance: Optional[Mapping[Triple, ProofStep]],
         class_terms: FrozenSet[Term],
         property_terms: FrozenSet[Term],
         stats: ClosureStats,
+        _steps: Sequence[Tuple[RuleId, Tuple[Triple, ...]]] = (),
     ) -> None:
         self._init(closure, provenance, class_terms, property_terms, stats)
+        object.__setattr__(self, "_steps", _steps)
+        if provenance is None:
+            object.__delattr__(self, "provenance")
+
+    def __getattr__(self, name: str) -> object:
+        # Reached only for an unset slot: build ``provenance`` once.
+        if name != "provenance":
+            raise AttributeError(name)
+        steps = self._steps
+        derived = self.closure.triples()[len(self.closure) - len(steps) :]
+        provenance = {t: ProofStep(rule, premises, t) for t, (rule, premises) in zip(derived, steps)}
+        object.__setattr__(self, "provenance", provenance)
+        object.__setattr__(self, "_steps", ())
+        return provenance
 
 
 class ClosureCapError(RuntimeError):
@@ -377,6 +411,12 @@ class TripleIndex:
     there, and ``star_by_pred[pos][p]`` those with predicate ``p``.  The
     closure engine and the witness search share this class; neither
     keeps a :class:`Triple` in it.
+
+    ``root_by_pred``, ``root_by_po`` and ``root_by_sp`` are keyed as
+    their full twins and list the roots given to :meth:`add_root`, in
+    the buckets the lifting rules read: triples with a non-reserved
+    predicate by predicate (2b), typings by class (3b) and ``cdisj`` or
+    ``pdisj`` statements by subject (6b, 7b).
     """
 
     __slots__ = (
@@ -387,6 +427,9 @@ class TripleIndex:
         "by_po",
         "star_by_sub",
         "star_by_pred",
+        "root_by_pred",
+        "root_by_po",
+        "root_by_sp",
     )
 
     def __init__(self, table: TermTable, triples: Iterable[IdTriple] = ()):
@@ -397,6 +440,9 @@ class TripleIndex:
         self.by_po: Dict[Tuple[int, int], List[IdTriple]] = {}
         self.star_by_sub: Dict[int, Dict[int, List[IdTriple]]] = {2: {}, 0: {}}
         self.star_by_pred: Dict[int, Dict[int, List[IdTriple]]] = {2: {}, 0: {}}
+        self.root_by_pred: Dict[int, List[IdTriple]] = {}
+        self.root_by_po: Dict[Tuple[int, int], List[IdTriple]] = {}
+        self.root_by_sp: Dict[Tuple[int, int], List[IdTriple]] = {}
         for t in triples:
             self.add(t)
 
@@ -413,16 +459,26 @@ class TripleIndex:
                 self.star_by_sub[pos].setdefault(c, []).append(t)
                 self.star_by_pred[pos].setdefault(p, []).append(t)
 
+    def add_root(self, t: IdTriple) -> None:
+        """Let the lifting rules lift ``t``, already added."""
+        s, p, o = t
+        if p > 6:
+            self.root_by_pred.setdefault(p, []).append(t)
+        elif p == _TYPE:
+            self.root_by_po.setdefault((p, o), []).append(t)
+        elif p == _BOTC or p == _BOTP:
+            self.root_by_sp.setdefault((s, p), []).append(t)
+
 
 class _Delta:
     """New triples in the buckets the matchers read from their delta
     side: all of them, by predicate, and by star position as in
-    :class:`TripleIndex`.  The pair buckets of a full index would go
-    unused here."""
+    :class:`TripleIndex`, and the roots among them, all and by
+    predicate.  The pair buckets of a full index would go unused here."""
 
-    __slots__ = ("all", "by_pred", "star")
+    __slots__ = ("all", "by_pred", "star", "roots", "root_by_pred")
 
-    def __init__(self, triples: List[IdTriple], table: TermTable):
+    def __init__(self, triples: List[IdTriple], roots: List[IdTriple], table: TermTable):
         self.all = triples
         self.by_pred: Dict[int, List[IdTriple]] = {}
         self.star: Dict[int, List[IdTriple]] = {2: [], 0: []}
@@ -431,6 +487,14 @@ class _Delta:
             for pos in (2, 0):
                 if table.sub[t[pos]] >= 0:
                     self.star[pos].append(t)
+        self.roots = roots
+        # ``roots`` is a subsequence of ``triples``, so equal lengths mean
+        # that every new triple is a root.
+        self.root_by_pred = self.by_pred
+        if len(roots) != len(triples):
+            self.root_by_pred = {}
+            for t in roots:
+                self.root_by_pred.setdefault(t[1], []).append(t)
 
 
 # ---------------------------------------------------------------------------
@@ -487,18 +551,18 @@ def _transitive(q: int) -> _Matcher:
 
 def _m_2b(ix, dx, ctx):
     for t1 in dx.by_pred.get(_SP, ()):
-        for t2 in ix.by_pred.get(t1[0], ()):
+        for t2 in ix.root_by_pred.get(t1[0], ()):
             yield (t1, t2), (t2[0], t1[2], t2[2])
-    for t2 in dx.all:
+    for t2 in dx.roots:
         for t1 in ix.by_sp.get((t2[1], _SP), ()):
             yield (t1, t2), (t2[0], t1[2], t2[2])
 
 
 def _m_3b(ix, dx, ctx):
     for t1 in dx.by_pred.get(_SC, ()):
-        for t2 in ix.by_po.get((_TYPE, t1[0]), ()):
+        for t2 in ix.root_by_po.get((_TYPE, t1[0]), ()):
             yield (t1, t2), (t2[0], _TYPE, t1[2])
-    for t2 in dx.by_pred.get(_TYPE, ()):
+    for t2 in dx.root_by_pred.get(_TYPE, ()):
         for t1 in ix.by_sp.get((t2[2], _SC), ()):
             yield (t1, t2), (t2[0], _TYPE, t1[2])
 
@@ -676,11 +740,11 @@ def _disjoint_below(q: int, h: int) -> _Matcher:
     """6b, 7b: (A,q,B), (C,h,A) -> (C,q,B) for the hierarchy ``h`` below ``q``."""
 
     def match(ix, dx, ctx):
-        for t1 in dx.by_pred.get(q, ()):
+        for t1 in dx.root_by_pred.get(q, ()):
             for t2 in ix.by_po.get((h, t1[0]), ()):
                 yield (t1, t2), (t2[0], q, t1[2])
         for t2 in dx.by_pred.get(h, ()):
-            for t1 in ix.by_sp.get((t2[2], q), ()):
+            for t1 in ix.root_by_sp.get((t2[2], q), ()):
                 yield (t1, t2), (t2[0], q, t1[2])
 
     return match
@@ -768,6 +832,11 @@ _MATCHERS: Dict[RuleId, _Matcher] = {
     RuleId.R8B: _disjoint_typing(_RANGE),
 }
 
+# Each lifting rule with the transitivity rule that lets it lift only
+# its roots, and each rule with the rule that lists all it lists first.
+_LIFTS: Dict[RuleId, RuleId] = {RuleId.R2B: RuleId.R2A, RuleId.R7B: RuleId.R2A, RuleId.R3B: RuleId.R3A, RuleId.R6B: RuleId.R3A}
+_SUBSUMED: Dict[RuleId, RuleId] = {RuleId.R2D: RuleId.R2B, RuleId.R2E: RuleId.R2B}
+
 
 # ---------------------------------------------------------------------------
 # Public operations
@@ -788,6 +857,8 @@ def instantiate(rule: RuleId, g: Graph, domains: Optional[Domains] = None) -> Li
     table = TermTable()
     triples = {table.encode(t): t for t in g}
     ix = TripleIndex(table, triples)
+    for key in triples:
+        ix.add_root(key)
     empty = {_BOTC: (), _BOTP: ()}
     ctx = _RoundContext(
         table,
@@ -802,7 +873,8 @@ def instantiate(rule: RuleId, g: Graph, domains: Optional[Domains] = None) -> Li
     steps: List[ProofStep] = []
     seen: Set[Tuple[Tuple[IdTriple, ...], IdTriple]] = set()
     terms = table.terms
-    for premises, key in _MATCHERS[rule](ix, _Delta(list(triples), table), ctx):
+    keys = list(triples)
+    for premises, key in _MATCHERS[rule](ix, _Delta(keys, keys, table), ctx):
         if key in triples or not table.valid(*key) or (premises, key) in seen:
             continue
         seen.add((premises, key))
@@ -814,7 +886,10 @@ def instantiate(rule: RuleId, g: Graph, domains: Optional[Domains] = None) -> Li
 class _Engine:
     def __init__(self, g: Graph, rule_ids: FrozenSet[RuleId], cap: int):
         self.cap = cap
-        self.rules = [r for r in RuleId if r in rule_ids and r in _MATCHERS]
+        known = [r for r in RuleId if r in rule_ids and r in _MATCHERS]
+        self.rules = [r for r in known if _SUBSUMED.get(r) not in rule_ids]
+        # The rules whose own conclusions are not roots.
+        self.lifts = {r for r in self.rules if _LIFTS.get(r) in rule_ids}
         self.table = TermTable()
         self.index = TripleIndex(self.table)
         self.tracker = _DomainTracker(self.table)
@@ -822,8 +897,9 @@ class _Engine:
         # drops rediscovered candidates and finds the Triple of a
         # premise.  It keeps first-insertion order.
         self.triples: Dict[IdTriple, Triple] = {}
-        self.provenance: Dict[Triple, ProofStep] = {}
-        self.fires: Dict[str, int] = {r.value: 0 for r in self.rules}
+        # The rule and premises of each derived triple, in that order.
+        self.steps: List[Tuple[RuleId, Tuple[Triple, ...]]] = []
+        self.fires: Dict[str, int] = {r.value: 0 for r in known}
         self.candidates: Dict[str, int] = dict.fromkeys(self.fires, 0)
         self.round_deltas: List[int] = []
         # The self-disjointness statements, by predicate, for 6c/7c.
@@ -832,6 +908,7 @@ class _Engine:
             key = self.table.encode(t)
             self.triples[key] = t
             self._install(key)
+            self.index.add_root(key)
         if len(self.triples) > self.cap:
             raise ClosureCapError(self.cap, len(self.triples))
 
@@ -842,16 +919,16 @@ class _Engine:
             self.self_disjoint[key[1]].append(key)
 
     def run(self) -> int:
-        table, triples, tracker = self.table, self.triples, self.tracker
+        table, triples, tracker, steps = self.table, self.triples, self.tracker, self.steps
         terms, valid = table.terms, table.valid
         iterations = 0
-        delta = list(triples)  # the input, all installed so far
+        delta = roots = list(triples)  # the input, all installed so far
         domains = {_BOTC: tracker.class_terms, _BOTP: tracker.property_terms}
         known: Dict[int, Set[int]] = {q: set() for q in domains}
         old = dict.fromkeys(domains, 0)
         while delta:
             iterations += 1
-            dx = _Delta(delta, table)
+            dx = _Delta(delta, roots, table)
             now = {q: sorted(d, key=lambda x: repr(terms[x])) for q, d in domains.items()}
             ctx = _RoundContext(
                 table,
@@ -864,22 +941,26 @@ class _Engine:
             )
             old = {q: len(s) for q, s in self.self_disjoint.items()}
             known = {q: set(xs) for q, xs in now.items()}
-            delta, pending = [], []
+            delta, roots = [], []
             for rule in self.rules:
+                first = len(delta)
                 listed = 0
                 for listed, (premises, key) in enumerate(_MATCHERS[rule](self.index, dx, ctx), 1):
                     if key in triples or not valid(*key):
                         continue
                     if len(triples) + 1 > self.cap:
                         raise ClosureCapError(self.cap, len(triples) + 1)
-                    t = triples[key] = _trusted_triple(terms[key[0]], terms[key[1]], terms[key[2]])
-                    pending.append(ProofStep(rule, tuple(map(triples.__getitem__, premises)), t))
+                    triples[key] = _trusted_triple(terms[key[0]], terms[key[1]], terms[key[2]])
+                    steps.append((rule, tuple(map(triples.__getitem__, premises))))
                     delta.append(key)
-                    self.fires[rule.value] += 1
+                self.fires[rule.value] += len(delta) - first
                 self.candidates[rule.value] += listed
-            for key, step in zip(delta, pending):
+                if rule not in self.lifts:
+                    roots += delta[first:]
+            for key in delta:
                 self._install(key)
-                self.provenance[step.conclusion] = step
+            for key in roots:
+                self.index.add_root(key)
             self.round_deltas.append(len(delta))
         return iterations
 
@@ -917,7 +998,7 @@ def closure(
     tracker = engine.tracker
     return ClosureResult(
         closure=Graph(order),
-        provenance=engine.provenance,
+        provenance=None,
         class_terms=tracker.terms(tracker.class_terms),
         property_terms=tracker.terms(tracker.property_terms),
         stats=ClosureStats(
@@ -929,6 +1010,7 @@ def closure(
             round_deltas=tuple(engine.round_deltas),
             rule_candidates=dict(engine.candidates),
         ),
+        _steps=engine.steps,
     )
 
 

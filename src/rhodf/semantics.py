@@ -666,16 +666,20 @@ def serialize_interpretation(i: Interpretation) -> str:
     left implicit.
     """
     lines: List[str] = []
+
+    def field(el: Element) -> str:
+        return _field(el, i.complement)
+
     plain_r = i.delta_r - i.delta_c - i.delta_l
     for directive, dom in (("R", plain_r), ("P", i.delta_p - _VOCAB_ELEMENTS), ("C", i.delta_c), ("L", i.delta_l)):
         for el in sorted(dom, key=_fmt):
-            lines.append(f"{directive} {_field(el)}")
+            lines.append(f"{directive} {field(el)}")
     for p in sorted(i.ext_p_pos, key=_fmt):
         for s, o in sorted(i.ext_p_pos[p], key=lambda pr: (_fmt(pr[0]), _fmt(pr[1]))):
-            lines.append(f"P+ {_field(p)} {_field(s)} {_field(o)}")
+            lines.append(f"P+ {field(p)} {field(s)} {field(o)}")
     for c in sorted(i.ext_c_pos, key=_fmt):
         for x in sorted(i.ext_c_pos[c], key=_fmt):
-            lines.append(f"C+ {_field(c)} {_field(x)}")
+            lines.append(f"C+ {field(c)} {field(x)}")
     for t in sorted(i.denote, key=serialize_term):
         el = i.denote[t]
         if isinstance(el, Term) and el == t:
@@ -683,7 +687,7 @@ def serialize_interpretation(i: Interpretation) -> str:
         if isinstance(el, str):
             if el == serialize_term(t) or (isinstance(t, Literal) and el == t.lexical):
                 continue
-        lines.append(f"I {serialize_term(t)} {_field(el)}")
+        lines.append(f"I {serialize_term(t)} {field(el)}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -700,16 +704,20 @@ _LITERAL_ESCAPE = re.compile(r"\\(.)")
 
 # A string element written as it is must be one field on any line and read
 # back as itself: at most one leading ``!``, then a whole ``<...>`` or a
-# base that cannot open a bracketed, quoted or prefixed field.
+# base that cannot open a bracketed, quoted or prefixed field.  A leading
+# ``!`` outside the quotes also makes the element a complement partner.
 _PLAIN = re.compile(r'!?(?:\*[!*]*)?(?:<[^>]*>|[^\s#"<!*][^\s#]*)')
 _QUOTE = re.compile(r'["\\]')
 
 
-def _field(el: Element) -> str:
-    """``el`` as one fixture field that :func:`_element` reads back as ``el``."""
-    if not isinstance(el, str) or _PLAIN.fullmatch(el):
+def _field(el: Element, complement: Mapping[Element, Element]) -> str:
+    """``el`` as one fixture field that :func:`_element` reads back as
+    ``el``, and as a complement partner just when it is one."""
+    if not isinstance(el, str):
         return _fmt(el)
-    bang = "!" if el.startswith("!") else ""
+    bang = "!" if el.startswith("!") and complement.get(el) == el[1:] else ""
+    if _PLAIN.fullmatch(el) and el.startswith("!") == bool(bang):
+        return el
     return bang + '"' + _QUOTE.sub(r"\\\g<0>", el[len(bang) :]) + '"'
 
 
@@ -756,7 +764,8 @@ def load_interpretation(text: str) -> Interpretation:
             el = _element(token)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-        if el.startswith("!"):
+        # Only the prefixes outside the quotes negate: "!x" is a literal.
+        if (len(token) - len(token.lstrip("!"))) % 2:
             complement[el] = el[1:]
             complement[el[1:]] = el
         for dom in declared.get(kind, ()):

@@ -8,12 +8,19 @@ index, delta and matcher works on :class:`~rhodf.core.Term` and
 the library's closure against :func:`term_closure`, so a fault in an id
 matcher or in the term table shows up as a difference.  Nothing in the
 library imports this module.
+
+It follows the library's two savings in the hierarchy rules, so that
+order, provenance and candidate counts still compare exactly: while the
+matching transitivity rule runs, 2b, 3b, 6b and 7b skip a premise to
+lift that they derived themselves (it is kept in ``lifted``), and 2d/2e
+do not run when 2b does.  Here that is a test on each premise, not a
+separate index of roots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from rhodf.core import (
     BOTC,
@@ -190,6 +197,7 @@ class _RoundContext:
     self_botc_old: Sequence[Triple] = ()
     self_botp_delta: Sequence[Triple] = ()
     self_botp_old: Sequence[Triple] = ()
+    lifted: AbstractSet[Triple] = frozenset()
 
 
 def _m_2a(ix, dx, ctx):
@@ -204,8 +212,11 @@ def _m_2a(ix, dx, ctx):
 def _m_2b(ix, dx, ctx):
     for t1 in dx.by_pred.get(SP, ()):
         for t2 in ix.by_pred.get(t1.s, ()):
-            yield (t1, t2), t2.s, t1.o, t2.o
+            if t2 not in ctx.lifted:
+                yield (t1, t2), t2.s, t1.o, t2.o
     for t2 in dx.all:
+        if t2 in ctx.lifted:
+            continue
         for t1 in ix.by_sp.get((t2.p, SP), ()):
             yield (t1, t2), t2.s, t1.o, t2.o
 
@@ -247,8 +258,11 @@ def _m_3a(ix, dx, ctx):
 def _m_3b(ix, dx, ctx):
     for t1 in dx.by_pred.get(SC, ()):
         for t2 in ix.by_po.get((TYPE, t1.s), ()):
-            yield (t1, t2), t2.s, TYPE, t1.o
+            if t2 not in ctx.lifted:
+                yield (t1, t2), t2.s, TYPE, t1.o
     for t2 in dx.by_pred.get(TYPE, ()):
+        if t2 in ctx.lifted:
+            continue
         for t1 in ix.by_sp.get((t2.o, SC), ()):
             yield (t1, t2), t2.s, TYPE, t1.o
 
@@ -455,11 +469,14 @@ def _m_6a(ix, dx, ctx):
 
 def _m_6b(ix, dx, ctx):
     for t1 in dx.by_pred.get(BOTC, ()):
+        if t1 in ctx.lifted:
+            continue
         for t2 in ix.by_po.get((SC, t1.s), ()):
             yield (t1, t2), t2.s, BOTC, t1.o
     for t2 in dx.by_pred.get(SC, ()):
         for t1 in ix.by_sp.get((t2.o, BOTC), ()):
-            yield (t1, t2), t2.s, BOTC, t1.o
+            if t1 not in ctx.lifted:
+                yield (t1, t2), t2.s, BOTC, t1.o
 
 
 def _m_6c(ix, dx, ctx):
@@ -492,11 +509,14 @@ def _m_7a(ix, dx, ctx):
 
 def _m_7b(ix, dx, ctx):
     for t1 in dx.by_pred.get(BOTP, ()):
+        if t1 in ctx.lifted:
+            continue
         for t2 in ix.by_po.get((SP, t1.s), ()):
             yield (t1, t2), t2.s, BOTP, t1.o
     for t2 in dx.by_pred.get(SP, ()):
         for t1 in ix.by_sp.get((t2.o, BOTP), ()):
-            yield (t1, t2), t2.s, BOTP, t1.o
+            if t1 not in ctx.lifted:
+                yield (t1, t2), t2.s, BOTP, t1.o
 
 
 def _m_7c(ix, dx, ctx):
@@ -589,6 +609,11 @@ _MATCHERS: Dict[RuleId, _Matcher] = {
 }
 
 
+# The lifting rules, each with the transitivity rule it needs to skip the
+# premises it derived itself.
+_LIFTS = {RuleId.R2B: RuleId.R2A, RuleId.R7B: RuleId.R2A, RuleId.R3B: RuleId.R3A, RuleId.R6B: RuleId.R3A}
+
+
 def _is_self_botc(t: Triple) -> bool:
     return t.p == BOTC and t.s == t.o
 
@@ -600,7 +625,12 @@ def _is_self_botp(t: Triple) -> bool:
 class _Engine:
     def __init__(self, g: Graph, rule_ids: FrozenSet[RuleId], cap: int):
         self.cap = cap
-        self.rules = [r for r in RuleId if r in rule_ids and r in _MATCHERS]
+        known = [r for r in RuleId if r in rule_ids and r in _MATCHERS]
+        # 2d/2e list a subset of what 2b lists, earlier in the same round.
+        self.rules = [r for r in known if not (r in (RuleId.R2D, RuleId.R2E) and RuleId.R2B in rule_ids)]
+        self.lifts = {r for r in self.rules if r in _LIFTS and _LIFTS[r] in rule_ids}
+        # Triples a lifting rule in ``lifts`` derived first.
+        self.lifted: Set[Triple] = set()
         # Raw (s, p, o) keys of the installed and pending triples, so a
         # rediscovered candidate is dropped before a Triple is validated
         # and built for it.
@@ -608,7 +638,7 @@ class _Engine:
         self.index = TermIndex()
         self.tracker = _DomainTracker()
         self.provenance: Dict[Triple, ProofStep] = {}
-        self.fires: Dict[str, int] = {r.value: 0 for r in self.rules}
+        self.fires: Dict[str, int] = {r.value: 0 for r in known}
         self.candidates: Dict[str, int] = dict.fromkeys(self.fires, 0)
         self.self_botc: List[Triple] = []
         self.self_botp: List[Triple] = []
@@ -663,6 +693,7 @@ class _Engine:
                 self_botc_old=self.self_botc[:old_botc],
                 self_botp_delta=self.self_botp[old_botp:],
                 self_botp_old=self.self_botp[:old_botp],
+                lifted=self.lifted,
             )
             old_botc, old_botp = len(self.self_botc), len(self.self_botp)
             prev_classes = set(classes)
@@ -675,6 +706,8 @@ class _Engine:
             for step in self.pending:
                 self._install(step.conclusion)
                 self.provenance[step.conclusion] = step
+                if step.rule in self.lifts:
+                    self.lifted.add(step.conclusion)
             delta = [step.conclusion for step in self.pending]
         return iterations, len(self.index.all)
 

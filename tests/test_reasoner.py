@@ -2,6 +2,7 @@
 
 import itertools
 import pathlib
+import pickle
 
 import pytest
 from hypothesis import given
@@ -14,6 +15,7 @@ from rhodf import (
     SP,
     TYPE,
     ClosureCapError,
+    Domains,
     FULL_RULE_IDS,
     Graph,
     Iri,
@@ -177,11 +179,33 @@ class TestProvenance:
         assert Triple(A, SC, B) not in result.provenance
 
     def test_steps_replay_through_instantiate(self):
-        g = parse_graph("a sc b .\nb sc c .\nx type a .\n")
-        result = closure(g)
-        for t, step in result.provenance.items():
-            conclusions = {s.conclusion for s in instantiate(step.rule, Graph(step.premises))}
-            assert t in conclusions
+        """Every step of both modes replays; rules 6c/7c range over the
+        closure's domains, so they replay with those, and every other
+        step from its premises alone."""
+        graphs = [parse_graph("a sc b .\nb sc c .\nx type a .\n"), *fixture_graphs()]
+        graphs += [cubic(n) for n in range(1, 9)] + [spchain(16)]
+        graphs += [random_graph(seed=seed, max_triples=20, max_terms=8, salt_contradiction=seed % 4 == 0) for seed in range(40)]
+        failed, replayed = [], 0
+        for g, mode in itertools.product(graphs, ("rdf", "full")):
+            result = closure(g, mode)
+            domains = Domains(result.class_terms, result.property_terms)
+            for t, step in result.provenance.items():
+                free = step.rule in (RuleId.R6C, RuleId.R7C)
+                conclusions = {s.conclusion for s in instantiate(step.rule, Graph(step.premises), domains if free else None)}
+                if t not in conclusions:
+                    failed.append(step)
+                replayed += 1
+        assert failed == []
+        assert replayed > 1000
+
+    def test_provenance_is_built_once(self):
+        result = closure(cubic(3))
+        first = result.provenance
+        assert result.provenance is first
+        assert len(first) == len(result.closure) - len(cubic(3))
+        twin = pickle.loads(pickle.dumps(result))
+        assert twin == result
+        assert twin.provenance == first
 
 
 class TestInstantiate:
@@ -214,12 +238,17 @@ class TestDomainRecognition:
         assert Neg(Iri("c")) in domains.class_terms
 
 
-def reference_closure(g, mode):
-    """Naive fixpoint: every rule of the mode, applied to the whole graph,
+def fixture_graphs():
+    return [parse_graph(p.read_text()) for p in sorted((pathlib.Path(__file__).parent / "fixtures").glob("*.rnt"))]
+
+
+def reference_closure(g, rule_ids):
+    """Naive fixpoint: every rule of the set, applied to the whole graph,
     until a round adds nothing.  Every matcher runs with its delta equal
     to the whole graph, which the semi-naive engine only does in its
-    first round, so a broken delta-side loop shows up as a difference."""
-    rules = [r for r in RuleId if r in MODE_RULE_IDS[mode] and r not in (RuleId.R1A, RuleId.R1B)]
+    first round, so a broken delta-side loop shows up as a difference.
+    It lifts every triple and runs 2d/2e, as :func:`instantiate` does."""
+    rules = [r for r in RuleId if r in rule_ids and r not in (RuleId.R1A, RuleId.R1B)]
     current = set(g)
     while True:
         snapshot = Graph(current)
@@ -229,21 +258,34 @@ def reference_closure(g, mode):
         current |= new
 
 
+def reference_inputs(seeds):
+    yield from fixture_graphs()
+    for n in range(1, 7):
+        yield cubic(n)
+    yield spchain(12)
+    for seed in range(seeds):
+        yield random_graph(seed=seed, max_triples=20, max_terms=8, salt_contradiction=seed % 4 == 0)
+
+
 class TestReferenceClosure:
     @pytest.mark.parametrize("mode", ["rdf", "full"])
     def test_semi_naive_closure_matches_the_naive_fixpoint(self, mode):
-        mismatches = []
-        for seed in range(80):
-            g = random_graph(seed=seed, max_triples=20, max_terms=8, salt_contradiction=seed % 4 == 0)
-            if set(closure(g, mode).closure) != reference_closure(g, mode):
-                mismatches.append(seed)
+        rule_ids = MODE_RULE_IDS[mode]
+        mismatches = [k for k, g in enumerate(reference_inputs(80)) if set(closure(g, mode).closure) != reference_closure(g, rule_ids)]
+        assert mismatches == []
+
+    @pytest.mark.parametrize("transitivity", [RuleId.R2A, RuleId.R3A])
+    def test_lifting_rules_lift_every_triple_without_transitivity(self, transitivity):
+        """Without 2a or 3a no rule closes the hierarchy, so the lifting
+        rules must take the triples they derived themselves again."""
+        rule_ids = FULL_RULE_IDS - {transitivity}
+        mismatches = [k for k, g in enumerate(reference_inputs(40)) if set(closure(g, rule_ids=rule_ids).closure) != reference_closure(g, rule_ids)]
         assert mismatches == []
 
 
 def oracle_inputs():
     """Graphs the id engine is diffed on against the term engine."""
-    for path in sorted((pathlib.Path(__file__).parent / "fixtures").glob("*.rnt")):
-        yield parse_graph(path.read_text())
+    yield from fixture_graphs()
     for n in (1, 2, 3, 4, 5, 6, 7, 8, 12, 16):
         yield cubic(n)
     yield spchain(48)
@@ -257,7 +299,7 @@ class TestTermTable:
         so the table's check must be validate_triple's on every id triple:
         here over the terms of the fixtures and of 50 random graphs, with
         the complements and stars the table interns beside them."""
-        fixtures = [parse_graph(p.read_text()) for p in sorted((pathlib.Path(__file__).parent / "fixtures").glob("*.rnt"))]
+        fixtures = fixture_graphs()
         for graphs in (fixtures, [random_graph(seed=seed) for seed in range(50)]):
             table = TermTable()
             for g in graphs:
@@ -327,6 +369,13 @@ class TestClosureCounters:
     def test_rediscovery_shows_in_the_candidates(self):
         stats = closure(cubic(8)).stats
         assert sum(stats.rule_candidates.values()) > 2 * sum(stats.rule_fire_counts.values())
+
+    def test_lifted_triples_are_not_lifted_again(self):
+        """2b lifts each instance triple of cubic(12) once per property
+        above its own, not once per path; 2d/2e do not run beside 2b."""
+        stats = closure(cubic(12)).stats
+        assert sum(stats.rule_candidates.values()) < 3 * (stats.output_size - stats.input_size)
+        assert (stats.rule_candidates["2d"], stats.rule_candidates["2e"]) == (0, 0)
 
 
 class TestClosureProperties:

@@ -342,14 +342,20 @@ class TestDisjointnessScan:
         assert all(n > 20 for n in found.values()), found
 
 
-DUMPED_OBJECTS = ['"hello world"', "<a b>", "<a#b>", '"a\\"b"', '"a\\\\b"', '""', '"a \\"b\\\\ c"']
+DUMPED_OBJECTS = ['"hello world"', "<a b>", "<a#b>", '"a\\"b"', '"a\\\\b"', '""', '"a \\"b\\\\ c"', '"!x"']
 
 
 class TestInterpretationFixtures:
     def test_serialize_then_load_is_stable(self, medical_negative_text):
-        for text in [medical_negative_text] + [f"x p {obj} ." for obj in DUMPED_OBJECTS]:
-            first = serialize_interpretation(canonical_model(parse_graph(text)))
-            second = serialize_interpretation(load_interpretation(first))
+        """Reloading a dump adds no element and no complement pair, and
+        a reloaded dump is a fixed point."""
+        for text in [medical_negative_text] + [f"s p {obj} ." for obj in DUMPED_OBJECTS]:
+            model = canonical_model(parse_graph(text))
+            first = serialize_interpretation(model)
+            loaded = load_interpretation(first)
+            sizes = [len(x) for x in (loaded.delta_r, loaded.delta_p, loaded.delta_c, loaded.delta_l, loaded.complement)]
+            assert sizes == [len(x) for x in (model.delta_r, model.delta_p, model.delta_c, model.delta_l, model.complement)], text
+            second = serialize_interpretation(loaded)
             third = serialize_interpretation(load_interpretation(second))
             assert second == third, text
 
