@@ -244,18 +244,12 @@ def try_negate(t: Term) -> Optional[Term]:
 # Triples
 # ---------------------------------------------------------------------------
 
-#: Violation codes reported by :func:`validate_triple`:
-#:   cond1            a reserved name in subject or object position
-#:   cond3            subject and object are both star terms
-#:   cond4            a reserved predicate with a star subject or object
-#:   predicate-shape  the predicate is not an IRI or negated IRI
-VIOLATION_CODES = ("cond1", "cond3", "cond4", "predicate-shape")
-
-
 def validate_triple(s: Term, p: Term, o: Term) -> Tuple[str, ...]:
     """Check the triple validity conditions, returning violation codes.
 
-    An empty tuple means the triple is valid.  The check never raises for
+    The codes are ``cond1``, ``cond3``, ``cond4`` and ``predicate-shape``
+    for the conditions 1, 3, 4 and 2 of the module docstring.  An empty
+    tuple means the triple is valid.  The check never raises for
     malformed combinations, only for non-``Term`` arguments.
     """
     for x in (s, p, o):
@@ -371,12 +365,6 @@ class Graph:
     def triples(self) -> Tuple[Triple, ...]:
         return self._order
 
-    def union(self, other: "Graph") -> "Graph":
-        return Graph(self._order + other._order)
-
-    def issubset(self, other: "Graph") -> bool:
-        return self._set <= other._set
-
     @property
     def universe(self) -> FrozenSet[Term]:
         """All terms occurring in subject, predicate or object position."""
@@ -394,16 +382,6 @@ class Graph:
     @property
     def is_ground(self) -> bool:
         return not self.blanks
-
-    @property
-    def star_subscripts(self) -> FrozenSet[Term]:
-        """Subscripts of every star term occurring in the graph."""
-        out = set()
-        for t in self._order:
-            for x in (t.s, t.o):
-                if isinstance(x, Star):
-                    out.add(x.cls)
-        return frozenset(out)
 
 
 EMPTY_GRAPH = Graph()

@@ -217,26 +217,26 @@ def extract_proof(h: Graph, mu: VariableMap, result: ClosureResult) -> Tuple[Pro
             raise ValueError(f"triple {t} is not in the closure")
     steps: List[ProofStep] = []
     emitted: Set[Triple] = set()
+    # Steps are built only for the triples of the proof.
+    derived = dict(result._derived())
 
     def visit(root: Triple) -> None:
-        # Iterative post-order; provenance chains can be deep.
-        stack: List[Tuple[Triple, bool]] = [(root, False)]
+        # Iterative post-order; provenance chains can be deep.  A triple
+        # comes back with its step once its premises are done.
+        stack: List[Tuple[Triple, Optional[ProofStep]]] = [(root, None)]
         while stack:
-            t, expanded = stack.pop()
+            t, step = stack.pop()
             if t in emitted:
                 continue
-            step = result.provenance.get(t)
             if step is None:
-                emitted.add(t)
-                steps.append(ProofStep(RuleId.R1B, (), t))
-                continue
-            if expanded:
-                emitted.add(t)
-                steps.append(step)
-                continue
-            stack.append((t, True))
-            for prem in reversed(step.premises):
-                stack.append((prem, False))
+                rule, premises = derived.get(t, (RuleId.R1B, ()))
+                step = ProofStep(rule, premises, t)
+                if premises:
+                    stack.append((t, step))
+                    stack.extend((prem, None) for prem in reversed(premises))
+                    continue
+            emitted.add(t)
+            steps.append(step)
 
     for t in goal:
         visit(t)

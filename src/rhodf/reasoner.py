@@ -11,14 +11,13 @@ for disjointness (6a-6e, 7a-7e, 8a/8b).
 A rule instance fires only when every premise and the conclusion are
 valid triples after meta-variable replacement; instances that would need
 to negate a blank node or build a malformed triple are silently skipped.
-Rules 6c/7c have a free conclusion variable, which ranges over the class
-and property terms recognized in the current partial closure.
 
 The closure engine is a deterministic semi-naive fixpoint: each round
 only matches instantiations touching triples derived in the previous
 round, rules fire in ascending :class:`RuleId` order, and triples keep
 first-insertion order.  The first derivation of every new triple is
-recorded for proof extraction.
+recorded for proof extraction.  :func:`instantiate` and
+:func:`recognize_domains` run the first round of an engine on their graph.
 
 Rules join over integers.  A :class:`TermTable` gives every term a dense
 id and answers, per id, what the rules ask of a term: its complement,
@@ -26,7 +25,15 @@ its star, a star's subscript and the validity flags.  The index, the
 rounds' deltas and the matchers hold ``(s, p, o)`` id tuples, and a
 candidate is deduplicated and validated as such.  A :class:`Triple` is
 built only for a candidate that passes both, so once per closure
-triple, and it is not validated again.
+triple, and it is not validated again.  The index keeps them by
+predicate, by subject and predicate, by predicate and object, and by
+star subscript; a round's delta by predicate and by star position.
+
+Rules 6c/7c have a free conclusion variable, which ranges over the class
+and property terms recognized in the current partial closure: those
+that each round's delta names in the positions :data:`_RECOGNIZED`
+lists, as predicates and as star subscripts.  They are listed for 6c/7c
+only while a self-disjointness statement needs them.
 
 Rules 2b/3b lift instances up the ``sp``/``sc`` hierarchies and 6b/7b
 push disjointness down them, one hierarchy edge at a time.  While the
@@ -44,12 +51,9 @@ The closure keeps the rule and premise triples of each derived triple,
 and :attr:`ClosureResult.provenance` builds a :class:`ProofStep` from
 each when it is first read.
 
-The rules are mirrored pairs, and each family has one matcher factory,
-closed over a predicate id or a triple position (2 = object, 0 =
-subject): transitivity 2a/3a, contrapositive 2c/3c, the star rules
-2d/2e, 3d/3e, 4e/4f and 4g/4h, typing 4a/4b, 4c/4d, 5a/5b and 8a/8b,
-and disjointness 6a/7a, 6b/7b, 6c/7c and 6d/6e/7d/7e.  Rules 2b and 3b
-have no mirror and are written out.
+Each mirrored pair of rules comes from one matcher factory, closed over
+a predicate id or a triple position (2 = object, 0 = subject); rules 2b
+and 3b have no mirror and are written out.
 """
 
 from __future__ import annotations
@@ -246,12 +250,18 @@ class ClosureResult(Record):
         # Reached only for an unset slot: build ``provenance`` once.
         if name != "provenance":
             raise AttributeError(name)
-        steps = self._steps
-        derived = self.closure.triples()[len(self.closure) - len(steps) :]
-        provenance = {t: ProofStep(rule, premises, t) for t, (rule, premises) in zip(derived, steps)}
+        derived = self._derived() if self._steps else ()
+        provenance = {t: ProofStep(rule, premises, t) for t, (rule, premises) in derived}
         object.__setattr__(self, "provenance", provenance)
         object.__setattr__(self, "_steps", ())
         return provenance
+
+    def _derived(self) -> Iterator[Tuple[Triple, Tuple[RuleId, Tuple[Triple, ...]]]]:
+        """Each derived triple with its rule and premises; no step is built."""
+        steps = self._steps
+        if not steps:
+            return ((t, (step.rule, step.premises)) for t, step in self.provenance.items())
+        return zip(self.closure.triples()[len(self.closure) - len(steps) :], steps)
 
 
 class ClosureCapError(RuntimeError):
@@ -330,87 +340,21 @@ class TermTable:
 
 
 # ---------------------------------------------------------------------------
-# Domain recognition
-# ---------------------------------------------------------------------------
-
-
-class _DomainTracker:
-    """Accumulates class/property term ids triple by triple.
-
-    Both sets are kept closed under single negation as they grow.
-    """
-
-    __slots__ = ("table", "class_terms", "property_terms")
-
-    def __init__(self, table: TermTable) -> None:
-        self.table = table
-        self.class_terms: Set[int] = set()
-        self.property_terms: Set[int] = set(range(7))
-
-    def _add(self, bucket: Set[int], x: int) -> None:
-        bucket.add(x)
-        mate = self.table.neg[x]
-        if mate >= 0:
-            bucket.add(mate)
-
-    def add_triple(self, t: IdTriple) -> None:
-        s, p, o = t
-        self._add(self.property_terms, p)
-        if p == _SP:
-            self._add(self.property_terms, s)
-            self._add(self.property_terms, o)
-        elif p in (_SC, _BOTC):
-            self._add(self.class_terms, s)
-            self._add(self.class_terms, o)
-        elif p == _TYPE:
-            self._add(self.class_terms, o)
-        elif p in (_DOM, _RANGE):
-            self._add(self.property_terms, s)
-            self._add(self.class_terms, o)
-        elif p == _BOTP:
-            self._add(self.property_terms, s)
-        for x in (s, o):
-            if self.table.sub[x] >= 0:
-                self._add(self.class_terms, self.table.sub[x])
-
-    def terms(self, bucket: Set[int]) -> FrozenSet[Term]:
-        return frozenset(self.table.terms[x] for x in bucket)
-
-
-def recognize_domains(g: Graph) -> Domains:
-    """Collect the class and property terms a graph talks about.
-
-    Property terms: every predicate, subjects and objects of ``sp``,
-    subjects of ``dom``/``range``/``pdisj``, plus the reserved
-    vocabulary.  Class terms: objects of ``type``/``dom``/``range``,
-    subjects and objects of ``sc``/``cdisj``, and star subscripts.  Both
-    sets are closed under single negation.
-    """
-    table = TermTable()
-    tracker = _DomainTracker(table)
-    for t in g:
-        tracker.add_triple(table.encode(t))
-    return Domains(tracker.terms(tracker.class_terms), tracker.terms(tracker.property_terms))
-
-
-# ---------------------------------------------------------------------------
 # Triple index
 # ---------------------------------------------------------------------------
 
 
 class TripleIndex:
-    """``(s, p, o)`` id triples of one :class:`TermTable`, in insertion
-    order, keyed by predicate and by pair.
+    """``(s, p, o)`` id triples of one :class:`TermTable`, keyed by
+    predicate and by pair.
 
     ``by_pred[p]``, ``by_sp[(s, p)]`` and ``by_po[(p, o)]`` list the
     matching id triples in insertion order, so ``by_sp[(x, _SP)]`` are
     the subproperty statements of ``x`` and ``by_po[(_TYPE, c)]`` the
-    typings into ``c``.  The star buckets are keyed by the position of
-    the star in the triple, 2 for the object and 0 for the subject:
-    ``star_by_sub[pos][c]`` lists the triples with a star over ``c``
-    there, and ``star_by_pred[pos][p]`` those with predicate ``p``.  The
-    closure engine and the witness search share this class; neither
-    keeps a :class:`Triple` in it.
+    typings into ``c``.  ``star_by_sub[pos][c]`` lists the triples with
+    a star over ``c`` at position ``pos``, 2 for the object and 0 for
+    the subject.  The closure engine and the witness search share this
+    class; neither keeps a :class:`Triple` in it.
 
     ``root_by_pred``, ``root_by_po`` and ``root_by_sp`` are keyed as
     their full twins and list the roots given to :meth:`add_root`, in
@@ -421,12 +365,10 @@ class TripleIndex:
 
     __slots__ = (
         "table",
-        "all",
         "by_pred",
         "by_sp",
         "by_po",
         "star_by_sub",
-        "star_by_pred",
         "root_by_pred",
         "root_by_po",
         "root_by_sp",
@@ -434,12 +376,10 @@ class TripleIndex:
 
     def __init__(self, table: TermTable, triples: Iterable[IdTriple] = ()):
         self.table = table
-        self.all: List[IdTriple] = []
         self.by_pred: Dict[int, List[IdTriple]] = {}
         self.by_sp: Dict[Tuple[int, int], List[IdTriple]] = {}
         self.by_po: Dict[Tuple[int, int], List[IdTriple]] = {}
         self.star_by_sub: Dict[int, Dict[int, List[IdTriple]]] = {2: {}, 0: {}}
-        self.star_by_pred: Dict[int, Dict[int, List[IdTriple]]] = {2: {}, 0: {}}
         self.root_by_pred: Dict[int, List[IdTriple]] = {}
         self.root_by_po: Dict[Tuple[int, int], List[IdTriple]] = {}
         self.root_by_sp: Dict[Tuple[int, int], List[IdTriple]] = {}
@@ -449,7 +389,6 @@ class TripleIndex:
     def add(self, t: IdTriple) -> None:
         s, p, o = t
         sub = self.table.sub
-        self.all.append(t)
         self.by_pred.setdefault(p, []).append(t)
         self.by_sp.setdefault((s, p), []).append(t)
         self.by_po.setdefault((p, o), []).append(t)
@@ -457,7 +396,6 @@ class TripleIndex:
             c = sub[t[pos]]
             if c >= 0:
                 self.star_by_sub[pos].setdefault(c, []).append(t)
-                self.star_by_pred[pos].setdefault(p, []).append(t)
 
     def add_root(self, t: IdTriple) -> None:
         """Let the lifting rules lift ``t``, already added."""
@@ -472,9 +410,9 @@ class TripleIndex:
 
 class _Delta:
     """New triples in the buckets the matchers read from their delta
-    side: all of them, by predicate, and by star position as in
-    :class:`TripleIndex`, and the roots among them, all and by
-    predicate.  The pair buckets of a full index would go unused here."""
+    side: all of them, by predicate and by star position (2 = object,
+    0 = subject), and the roots among them, all and by predicate.  The
+    pair buckets of a full index would go unused here."""
 
     __slots__ = ("all", "by_pred", "star", "roots", "root_by_pred")
 
@@ -587,10 +525,11 @@ def _star_lift(pos: int) -> _Matcher:
         for t1 in dx.star[pos]:
             for t2 in ix.by_sp.get((t1[1], _SP), ()):
                 yield (t1, t2), (t1[0], t2[2], t1[2])
-        starred = ix.star_by_pred[pos]
+        sub = ctx.table.sub
         for t2 in dx.by_pred.get(_SP, ()):
-            for t1 in starred.get(t2[0], ()):
-                yield (t1, t2), (t1[0], t2[2], t1[2])
+            for t1 in ix.by_pred.get(t2[0], ()):
+                if sub[t1[pos]] >= 0:
+                    yield (t1, t2), (t1[0], t2[2], t1[2])
 
     return match
 
@@ -839,48 +778,21 @@ _SUBSUMED: Dict[RuleId, RuleId] = {RuleId.R2D: RuleId.R2B, RuleId.R2E: RuleId.R2
 
 
 # ---------------------------------------------------------------------------
-# Public operations
+# Closure engine
 # ---------------------------------------------------------------------------
 
-
-def instantiate(rule: RuleId, g: Graph, domains: Optional[Domains] = None) -> List[ProofStep]:
-    """All applications of ``rule`` to ``g`` that derive something new.
-
-    Premises are drawn from ``g``; instantiations whose conclusion is
-    invalid or already present are dropped.  ``domains`` feeds the free
-    variable of rules 6c/7c and defaults to ``recognize_domains(g)``.
-    """
-    if rule in (RuleId.R1A, RuleId.R1B):
-        raise ValueError(f"rule {rule} is not a closure rule")
-    if domains is None:
-        domains = recognize_domains(g)
-    table = TermTable()
-    triples = {table.encode(t): t for t in g}
-    ix = TripleIndex(table, triples)
-    for key in triples:
-        ix.add_root(key)
-    empty = {_BOTC: (), _BOTP: ()}
-    ctx = _RoundContext(
-        table,
-        terms={
-            _BOTC: [table.intern(c) for c in sorted(domains.class_terms, key=repr)],
-            _BOTP: [table.intern(p) for p in sorted(domains.property_terms, key=repr)],
-        },
-        new_terms=empty,
-        self_delta={q: [k for k in triples if k[0] == k[2] and k[1] == q] for q in (_BOTC, _BOTP)},
-        self_old=empty,
-    )
-    steps: List[ProofStep] = []
-    seen: Set[Tuple[Tuple[IdTriple, ...], IdTriple]] = set()
-    terms = table.terms
-    keys = list(triples)
-    for premises, key in _MATCHERS[rule](ix, _Delta(keys, keys, table), ctx):
-        if key in triples or not table.valid(*key) or (premises, key) in seen:
-            continue
-        seen.add((premises, key))
-        conclusion = _trusted_triple(terms[key[0]], terms[key[1]], terms[key[2]])
-        steps.append(ProofStep(rule, tuple(triples[k] for k in premises), conclusion))
-    return steps
+# Each reserved predicate with the domain, class (``_BOTC``) or property
+# (``_BOTP``) terms, that its subject and its object name a term of, if
+# any.  Predicates are property terms and star subscripts class terms.
+_RECOGNIZED = (
+    (_SP, _BOTP, _BOTP),
+    (_SC, _BOTC, _BOTC),
+    (_TYPE, None, _BOTC),
+    (_DOM, _BOTP, _BOTC),
+    (_RANGE, _BOTP, _BOTC),
+    (_BOTC, _BOTC, _BOTC),
+    (_BOTP, _BOTP, None),
+)
 
 
 class _Engine:
@@ -892,7 +804,6 @@ class _Engine:
         self.lifts = {r for r in self.rules if _LIFTS.get(r) in rule_ids}
         self.table = TermTable()
         self.index = TripleIndex(self.table)
-        self.tracker = _DomainTracker(self.table)
         # Every installed or pending triple by its ids: one dict both
         # drops rediscovered candidates and finds the Triple of a
         # premise.  It keeps first-insertion order.
@@ -902,8 +813,13 @@ class _Engine:
         self.fires: Dict[str, int] = {r.value: 0 for r in known}
         self.candidates: Dict[str, int] = dict.fromkeys(self.fires, 0)
         self.round_deltas: List[int] = []
-        # The self-disjointness statements, by predicate, for 6c/7c.
+        # The class (``_BOTC``) and property (``_BOTP``) terms of the
+        # rounds so far, each set closed under single negation.
+        self.domains: Dict[int, Set[int]] = {_BOTC: set(), _BOTP: set(range(7))}
+        # The self-disjointness statements, by predicate, for 6c/7c, and
+        # how many of them came before the current round's delta.
         self.self_disjoint: Dict[int, List[IdTriple]] = {_BOTC: [], _BOTP: []}
+        self.self_before: Dict[int, int] = {_BOTC: 0, _BOTP: 0}
         for t in g:
             key = self.table.encode(t)
             self.triples[key] = t
@@ -914,33 +830,73 @@ class _Engine:
 
     def _install(self, key: IdTriple) -> None:
         self.index.add(key)
-        self.tracker.add_triple(key)
         if key[0] == key[2] and key[1] in self.self_disjoint:
             self.self_disjoint[key[1]].append(key)
 
+    def _recognize(self, dx: _Delta) -> Dict[int, Set[int]]:
+        """Add the terms ``dx`` names to the domains; return the new ones."""
+        found = {_BOTC: set(), _BOTP: set(dx.by_pred)}
+        for p, *domains in _RECOGNIZED:
+            for pos, q in zip((0, 2), domains):
+                if q is not None:
+                    found[q].update([t[pos] for t in dx.by_pred.get(p, ())])
+        sub, neg = self.table.sub, self.table.neg
+        for pos in (2, 0):
+            found[_BOTC].update([sub[t[pos]] for t in dx.star[pos]])
+        for q, xs in found.items():
+            xs.update([neg[x] for x in xs if neg[x] >= 0])
+            xs -= self.domains[q]
+            self.domains[q] |= xs
+        return found
+
+    def start_round(
+        self, delta: Optional[List[IdTriple]] = None, roots: Sequence[IdTriple] = (), given: Optional[Domains] = None
+    ) -> Tuple[_Delta, _RoundContext]:
+        """The buckets and context of the round over ``delta``, installed
+        last, with its ``roots``; by default the first round, over the
+        input, all of it roots.  The terms the delta names join the
+        domains, unless ``given`` replaces those."""
+        if delta is None:
+            delta = roots = list(self.triples)
+        table = self.table
+        dx = _Delta(delta, roots, table)
+        if given is None:
+            new = self._recognize(dx)
+        else:
+            intern = table.intern
+            new = self.domains = {_BOTC: set(map(intern, given.class_terms)), _BOTP: set(map(intern, given.property_terms))}
+        now: Dict[int, Sequence[int]] = {}
+        fresh: Dict[int, Sequence[int]] = {}
+        for q, found in self.self_disjoint.items():
+            # Only a self-disjointness statement reads the terms.
+            now[q] = fresh[q] = ()
+            if found:
+                now[q] = sorted(self.domains[q], key=lambda x: repr(table.terms[x]))
+                fresh[q] = [x for x in now[q] if x in new[q]]
+        old = self.self_before
+        self.self_before = {q: len(s) for q, s in self.self_disjoint.items()}
+        # The delta was installed last, so its self-disjointness
+        # statements are the tails of the two lists.
+        return dx, _RoundContext(
+            table,
+            terms=now,
+            new_terms=fresh,
+            self_delta={q: s[old[q] :] for q, s in self.self_disjoint.items()},
+            self_old={q: s[: old[q]] for q, s in self.self_disjoint.items()},
+        )
+
+    def recognized(self) -> Domains:
+        terms = self.table.terms
+        return Domains(*(frozenset([terms[x] for x in self.domains[q]]) for q in (_BOTC, _BOTP)))
+
     def run(self) -> int:
-        table, triples, tracker, steps = self.table, self.triples, self.tracker, self.steps
-        terms, valid = table.terms, table.valid
+        triples, steps = self.triples, self.steps
+        terms, valid = self.table.terms, self.table.valid
         iterations = 0
         delta = roots = list(triples)  # the input, all installed so far
-        domains = {_BOTC: tracker.class_terms, _BOTP: tracker.property_terms}
-        known: Dict[int, Set[int]] = {q: set() for q in domains}
-        old = dict.fromkeys(domains, 0)
         while delta:
             iterations += 1
-            dx = _Delta(delta, roots, table)
-            now = {q: sorted(d, key=lambda x: repr(terms[x])) for q, d in domains.items()}
-            ctx = _RoundContext(
-                table,
-                terms=now,
-                new_terms={q: [x for x in now[q] if x not in known[q]] for q in now},
-                # The delta was installed last, so its self-disjointness
-                # statements are the tails of the two lists.
-                self_delta={q: s[old[q]:] for q, s in self.self_disjoint.items()},
-                self_old={q: s[:old[q]] for q, s in self.self_disjoint.items()},
-            )
-            old = {q: len(s) for q, s in self.self_disjoint.items()}
-            known = {q: set(xs) for q, xs in now.items()}
+            dx, ctx = self.start_round(delta, roots)
             delta, roots = [], []
             for rule in self.rules:
                 first = len(delta)
@@ -963,6 +919,48 @@ class _Engine:
                 self.index.add_root(key)
             self.round_deltas.append(len(delta))
         return iterations
+
+
+# ---------------------------------------------------------------------------
+# Public operations
+# ---------------------------------------------------------------------------
+
+
+def recognize_domains(g: Graph) -> Domains:
+    """Collect the class and property terms a graph talks about.
+
+    Property terms: every predicate, subjects and objects of ``sp``,
+    subjects of ``dom``/``range``/``pdisj``, plus the reserved
+    vocabulary.  Class terms: objects of ``type``/``dom``/``range``,
+    subjects and objects of ``sc``/``cdisj``, and star subscripts.  Both
+    sets are closed under single negation.
+    """
+    engine = _Engine(g, frozenset(), len(g))
+    engine.start_round()
+    return engine.recognized()
+
+
+def instantiate(rule: RuleId, g: Graph, domains: Optional[Domains] = None) -> List[ProofStep]:
+    """All applications of ``rule`` to ``g`` that derive something new.
+
+    Premises are drawn from ``g``; instantiations whose conclusion is
+    invalid or already present are dropped.  ``domains`` feeds the free
+    variable of rules 6c/7c and defaults to ``recognize_domains(g)``.
+    """
+    if rule in (RuleId.R1A, RuleId.R1B):
+        raise ValueError(f"rule {rule} is not a closure rule")
+    engine = _Engine(g, frozenset(), len(g))
+    dx, ctx = engine.start_round(given=domains)
+    table, triples, terms = engine.table, engine.triples, engine.table.terms
+    steps: List[ProofStep] = []
+    seen: Set[Tuple[Tuple[IdTriple, ...], IdTriple]] = set()
+    for premises, key in _MATCHERS[rule](engine.index, dx, ctx):
+        if key in triples or not table.valid(*key) or (premises, key) in seen:
+            continue
+        seen.add((premises, key))
+        conclusion = _trusted_triple(terms[key[0]], terms[key[1]], terms[key[2]])
+        steps.append(ProofStep(rule, tuple(triples[k] for k in premises), conclusion))
+    return steps
 
 
 def closure(
@@ -995,12 +993,12 @@ def closure(
     # so they stay out of the peak memory.
     engine.triples = engine.index = None
     elapsed = time.perf_counter() - start
-    tracker = engine.tracker
+    domains = engine.recognized()
     return ClosureResult(
         closure=Graph(order),
         provenance=None,
-        class_terms=tracker.terms(tracker.class_terms),
-        property_terms=tracker.terms(tracker.property_terms),
+        class_terms=domains.class_terms,
+        property_terms=domains.property_terms,
         stats=ClosureStats(
             iterations=iterations,
             rule_fire_counts=dict(engine.fires),

@@ -718,17 +718,21 @@ def _field(el: Element, complement: Mapping[Element, Element]) -> str:
     bang = "!" if el.startswith("!") and complement.get(el) == el[1:] else ""
     if _PLAIN.fullmatch(el) and el.startswith("!") == bool(bang):
         return el
-    return bang + '"' + _QUOTE.sub(r"\\\g<0>", el[len(bang) :]) + '"'
+    # Without a ``!`` the quotes would make a literal; ``!!`` cancels out.
+    return (bang or "!!") + '"' + _QUOTE.sub(r"\\\g<0>", el[len(bang) :]) + '"'
 
 
-def _element(token: str) -> str:
+def _element(token: str) -> Element:
     bangs = 0
     while bangs < len(token) and token[bangs] == "!":
         bangs += 1
     base = token[bangs:]
     if len(base) >= 2 and base[0] == '"' and base[-1] == '"':
-        # Literal-backed elements are identified by their lexical form.
         base = _LITERAL_ESCAPE.sub(r"\1", base[1:-1])
+        # A quoted field is a literal, as in a canonical model; with a
+        # ``!`` prefix it is a string, as literals have no complement.
+        if not bangs:
+            return Literal(base)
     elif not base:
         raise ValueError("empty element name")
     return base if bangs % 2 == 0 else "!" + base
@@ -742,6 +746,9 @@ def load_interpretation(text: str) -> Interpretation:
     register their elements; ``I term e`` sets a denotation.  An
     element written with a ``!`` prefix is the complement partner of
     the bare name, and domains are closed over registered complements.
+    A quoted element is a :class:`~rhodf.core.Literal`, as in a
+    canonical model, and the literal term denotes it by default; with
+    ``!`` prefixes, a quoted name is a string, as an unquoted one is.
     Reserved vocabulary terms denote themselves unless overridden, and
     every registered element also becomes the denotation of the
     same-named term unless an ``I`` line says otherwise, so a dumped
@@ -759,7 +766,7 @@ def load_interpretation(text: str) -> Interpretation:
     # literal joins.
     declared = {"R": (delta_r,), "P": (delta_p,), "C": (delta_c, delta_r), "L": (delta_l, delta_r)}
 
-    def element(token: str, lineno: int, kind: str = "") -> str:
+    def element(token: str, lineno: int, kind: str = "") -> Element:
         try:
             el = _element(token)
         except ValueError as exc:
@@ -806,9 +813,11 @@ def load_interpretation(text: str) -> Interpretation:
         if v not in denote:
             denote[v] = v.name
             delta_p.add(v.name)
-    for el in sorted(delta_r | delta_p | delta_c | delta_l, key=str):
-        if not isinstance(el, str):
-            continue
+    elements = delta_r | delta_p | delta_c | delta_l
+    for el in elements:
+        if isinstance(el, Literal) and el not in denote:
+            denote[el] = el
+    for el in sorted(el for el in elements if isinstance(el, str)):
         lit = Literal(el)
         if lit not in denote:
             denote[lit] = el

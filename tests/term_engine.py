@@ -725,6 +725,38 @@ class TermClosure:
     property_terms: FrozenSet[Term]
 
 
+def term_domains(g: Graph) -> Tuple[FrozenSet[Term], FrozenSet[Term]]:
+    """The class and property terms of ``g``, recognized triple by triple."""
+    tracker = _DomainTracker()
+    for t in g:
+        tracker.add_triple(t)
+    return frozenset(tracker.class_terms), frozenset(tracker.property_terms)
+
+
+def term_instantiate(rule: RuleId, g: Graph) -> List[ProofStep]:
+    """The applications of ``rule`` to ``g`` that derive something new,
+    listed by the term-level matcher with all of ``g`` as its delta and
+    every triple liftable, deduplicated on premises and conclusion, as
+    :func:`~rhodf.reasoner.instantiate` lists them."""
+    triples = list(g)
+    class_terms, property_terms = term_domains(g)
+    ctx = _RoundContext(
+        class_terms=sorted(class_terms, key=repr),
+        property_terms=sorted(property_terms, key=repr),
+        self_botc_delta=[t for t in triples if _is_self_botc(t)],
+        self_botp_delta=[t for t in triples if _is_self_botp(t)],
+    )
+    steps: List[ProofStep] = []
+    seen: Set[Tuple[Tuple[Triple, ...], Triple]] = set()
+    for premises, s, p, o in _MATCHERS[rule](TermIndex(triples), _Delta(triples), ctx):
+        t = try_triple(s, p, o)
+        if t is None or t in g or (premises, t) in seen:
+            continue
+        seen.add((premises, t))
+        steps.append(ProofStep(rule, premises, t))
+    return steps
+
+
 def term_closure(g: Graph, mode: str = "full", cap: Optional[int] = None) -> TermClosure:
     """The closure of ``g`` by the term-level engine."""
     engine = _Engine(g, MODE_RULE_IDS[mode], default_cap(len(g)) if cap is None else cap)

@@ -160,14 +160,6 @@ class TestGraph:
         assert Graph([t1, t2]) == Graph([t2, t1])
         assert hash(Graph([t1, t2])) == hash(Graph([t2, t1]))
 
-    def test_union_and_subset(self):
-        g = Graph([Triple(A, B, C)])
-        h = Graph([Triple(A, SC, B)])
-        u = g.union(h)
-        assert len(u) == 2
-        assert g.issubset(u) and h.issubset(u)
-        assert not u.issubset(g)
-
     def test_universe_covers_every_position(self):
         g = Graph([Triple(A, SC, B), Triple(A, B, C)])
         assert {A, B, C, SC} <= set(g.universe)
@@ -178,10 +170,6 @@ class TestGraph:
         assert g.blanks == frozenset({x})
         assert not g.is_ground
         assert Graph([Triple(A, B, C)]).is_ground
-
-    def test_star_subscripts_are_collected(self):
-        g = Graph([Triple(A, B, Star(C)), Triple(Star(Neg(A)), B, C)])
-        assert g.star_subscripts == frozenset({C, Neg(A)})
 
     def test_empty_graph_constant(self):
         assert len(EMPTY_GRAPH) == 0

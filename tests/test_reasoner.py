@@ -35,7 +35,7 @@ from rhodf import (
     validate_triple,
 )
 from rhodf.reasoner import MODE_RULE_IDS, TermTable
-from term_engine import term_closure
+from term_engine import term_closure, term_domains, term_instantiate
 
 A, B, C, D = Iri("a"), Iri("b"), Iri("c"), Iri("d")
 
@@ -63,7 +63,7 @@ class TestSmallFixpoints:
 
     def test_closure_contains_the_input(self):
         g = Graph([Triple(A, SC, B), Triple(C, B, D)])
-        assert g.issubset(closure(g).closure)
+        assert set(g) <= set(closure(g).closure)
 
     def test_subclass_statement_full_fixpoint(self):
         got = set(closure(Graph([Triple(A, SC, B)])).closure)
@@ -351,6 +351,31 @@ class TestTermEngineOracle:
         assert checked > 40
 
 
+class TestEntryPointOracles:
+    """:func:`recognize_domains` and :func:`instantiate` against the term
+    engine's per-triple tracker and its matchers."""
+
+    def test_recognize_domains_matches_the_term_tracker(self):
+        mismatches = [k for k, g in enumerate(oracle_inputs()) if recognize_domains(g) != Domains(*term_domains(g))]
+        assert mismatches == []
+
+    def test_instantiate_matches_the_term_matchers(self):
+        """Three small graphs beside the usual inputs let 4c, 4h and 6b
+        derive something too."""
+        rules = [r for r in RuleId if r not in (RuleId.R1A, RuleId.R1B)]
+        extra = ["d dom b .\nx type !b .\nz d y .\n", "*c d b .\nx !d b .\n", "a cdisj b .\nc sc a .\n"]
+        mismatches, fired = [], set()
+        for k, g in enumerate([*reference_inputs(80), *map(parse_graph, extra)]):
+            for rule in rules:
+                got = instantiate(rule, g)
+                if got != term_instantiate(rule, g):
+                    mismatches.append((k, rule))
+                if got:
+                    fired.add(rule)
+        assert mismatches == []
+        assert fired == set(rules), set(rules) - fired
+
+
 class TestClosureCounters:
     @pytest.mark.parametrize("mode", ["rdf", "full"])
     def test_round_deltas_and_candidates_add_up(self, mode):
@@ -391,13 +416,13 @@ class TestClosureProperties:
         g = random_graph(seed=seed, max_triples=6)
         extra = random_graph(seed=seed + 90_001, max_triples=4)
         small = closure(g).closure
-        large = closure(g.union(extra)).closure
-        assert small.issubset(large)
+        large = closure(Graph([*g, *extra])).closure
+        assert set(small) <= set(large)
 
     @given(seeds)
     def test_rdf_mode_is_a_restriction(self, seed):
         g = random_graph(seed=seed)
-        assert closure(g, mode="rdf").closure.issubset(closure(g, mode="full").closure)
+        assert set(closure(g, mode="rdf").closure) <= set(closure(g, mode="full").closure)
 
     @given(seeds)
     def test_stats_are_consistent(self, seed):

@@ -349,7 +349,7 @@ class TestInterpretationFixtures:
     def test_serialize_then_load_is_stable(self, medical_negative_text):
         """Reloading a dump adds no element and no complement pair, and
         a reloaded dump is a fixed point."""
-        for text in [medical_negative_text] + [f"s p {obj} ." for obj in DUMPED_OBJECTS]:
+        for text in [medical_negative_text, 'x p "!x" .'] + [f"s p {obj} ." for obj in DUMPED_OBJECTS]:
             model = canonical_model(parse_graph(text))
             first = serialize_interpretation(model)
             loaded = load_interpretation(first)
@@ -358,6 +358,13 @@ class TestInterpretationFixtures:
             second = serialize_interpretation(loaded)
             third = serialize_interpretation(load_interpretation(second))
             assert second == third, text
+
+    def test_quoted_strings_and_literals_reload_unchanged(self):
+        """A quoted field is a literal; a string that needs quotes is
+        written with ``!`` prefixes and stays a string."""
+        i = load_interpretation('C !"a b"\nR "v"\nR !!"!w"\nR x\n')
+        assert Literal("v") in i.delta_r and {"a b", "!a b", "!w", "x"} <= i.delta_r
+        assert load_interpretation(serialize_interpretation(i)) == i
 
     def test_reloaded_model_still_satisfies_the_graph(self, medical_text):
         g = parse_graph(medical_text)

@@ -1,4 +1,5 @@
-"""Checks on the benchmark harness that need only the standard library."""
+"""Checks on the benchmark harness and the demos that need only the
+standard library."""
 
 import importlib
 import importlib.util
@@ -8,11 +9,14 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import rhodf
 
 PERFBENCH = pathlib.Path(__file__).parent.parent / "perfbench"
 SPANS = PERFBENCH / "spans.py"
 MEDICAL = str(pathlib.Path(__file__).parent / "fixtures" / "medical.rnt")
+DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
 
 
 def test_every_traced_function_exists():
@@ -64,3 +68,12 @@ def test_traced_commands_record_every_layer(tmp_path):
         ("reasoner.closure", "entailment.entails"),
         ("entailment.proof", "entailment.entails"),
     ]
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_runs_cleanly(demo):
+    """Nothing else runs the demos, so a library change that breaks one
+    would only surface when someone runs it by hand."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(rhodf.__file__).parent.parent))
+    done = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
