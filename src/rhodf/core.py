@@ -90,7 +90,11 @@ _RESERVED_NAMES = frozenset({"sp", "sc", "type", "dom", "range", "cdisj", "pdisj
 
 
 class Term(Record):
-    """Base class for all term shapes."""
+    """Base class for all term shapes.
+
+    Each term has one field and computes its hash, that of the tuple of
+    the field, once in ``__init__``; the ``_h`` slot keeps it.
+    """
 
     __slots__ = ()
 
@@ -98,56 +102,59 @@ class Term(Record):
 class Iri(Term):
     """A named resource.  Reserved names are ordinary ``Iri`` values."""
 
-    __slots__ = ("name",)
+    __slots__ = ("name", "_h")
 
     def __init__(self, name: str) -> None:
         if not name:
             raise ValueError("IRI name must be non-empty")
         _set(self, "name", name)
+        _set(self, "_h", hash((name,)))
 
     def __eq__(self, other: object) -> bool:
         return self.name == other.name if other.__class__ is self.__class__ else NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.name,))
+        return self._h
 
 
 class Literal(Term):
     """A data value, identified by its lexical form."""
 
-    __slots__ = ("lexical",)
+    __slots__ = ("lexical", "_h")
 
     def __init__(self, lexical: str) -> None:
         _set(self, "lexical", lexical)
+        _set(self, "_h", hash((lexical,)))
 
     def __eq__(self, other: object) -> bool:
         return self.lexical == other.lexical if other.__class__ is self.__class__ else NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.lexical,))
+        return self._h
 
 
 class Blank(Term):
     """A blank node.  Blank nodes act as the variables of entailment."""
 
-    __slots__ = ("name",)
+    __slots__ = ("name", "_h")
 
     def __init__(self, name: str) -> None:
         if not name:
             raise ValueError("blank node label must be non-empty")
         _set(self, "name", name)
+        _set(self, "_h", hash((name,)))
 
     def __eq__(self, other: object) -> bool:
         return self.name == other.name if other.__class__ is self.__class__ else NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.name,))
+        return self._h
 
 
 class Neg(Term):
     """A negated resource.  Only plain non-reserved IRIs can be negated."""
 
-    __slots__ = ("base",)
+    __slots__ = ("base", "_h")
 
     def __init__(self, base: Iri) -> None:
         if not isinstance(base, Iri):
@@ -155,18 +162,19 @@ class Neg(Term):
         if base.name in _RESERVED_NAMES:
             raise ValueError(f"reserved name {base.name!r} cannot be negated")
         _set(self, "base", base)
+        _set(self, "_h", hash((base,)))
 
     def __eq__(self, other: object) -> bool:
         return self.base == other.base if other.__class__ is self.__class__ else NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.base,))
+        return self._h
 
 
 class Star(Term):
     """A universal class term.  ``Star(c)`` stands for every member of ``c``."""
 
-    __slots__ = ("cls",)
+    __slots__ = ("cls", "_h")
 
     def __init__(self, cls: Union[Iri, Neg]) -> None:
         if isinstance(cls, Iri):
@@ -175,12 +183,13 @@ class Star(Term):
         elif not isinstance(cls, Neg):
             raise ValueError(f"star subscript must be an IRI or negated IRI, got {cls!r}")
         _set(self, "cls", cls)
+        _set(self, "_h", hash((cls,)))
 
     def __eq__(self, other: object) -> bool:
         return self.cls == other.cls if other.__class__ is self.__class__ else NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.cls,))
+        return self._h
 
 
 # ---------------------------------------------------------------------------

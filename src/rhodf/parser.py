@@ -29,7 +29,7 @@ first, so a file with k bad lines produces at least k diagnostics.
 from __future__ import annotations
 
 import re
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Callable, Dict, Hashable, Iterator, List, Optional, Tuple, Union
 
 from .core import (
     Blank,
@@ -124,28 +124,28 @@ def _unescape(body: str, lineno: int, column: int, errors: List[ParseError]) -> 
     return _ESCAPE.sub(resolve, body)
 
 
-def _tokens(lineno: int, line: str, errors: List[ParseError]) -> Iterator[_Spanned]:
-    """The tokens of one line; lexical errors go to ``errors``."""
+def _tokens(lineno: int, line: str, errors: List[ParseError], terms: Dict[str, Term]) -> Iterator[_Spanned]:
+    """The tokens of one line; lexical errors go to ``errors``.  ``terms``
+    maps the text of each IRI and blank token read so far to its term, so
+    that each distinct one is built and hashed once."""
     for m in _TOKEN.finditer(line):
         kind = m.lastgroup
         if kind == "skip":
             continue
         span = SourceSpan(lineno, m.start() + 1)
-        if kind == "name":
-            yield Iri(m.group(kind)), span
+        if kind == "name" or kind == "blank" or kind == "iri" and m.group(kind):
+            term = terms.get(m.group())
+            if term is None:
+                term = terms[m.group()] = Blank(m.group(kind)) if kind == "blank" else Iri(m.group(kind))
+            yield term, span
         elif kind == "dot":
             yield ".", span
         elif kind == "prefix":
             yield ("!" if m.group(kind) in "!¬" else "*"), span
         elif kind == "literal":
             yield Literal(_unescape(m.group(kind), lineno, m.start(kind) + 1, errors)), span
-        elif kind == "blank":
-            yield Blank(m.group(kind)), span
         elif kind == "iri":
-            if m.group(kind):
-                yield Iri(m.group(kind)), span
-            else:
-                errors.append(ParseError("empty IRI reference", span, "lexical"))
+            errors.append(ParseError("empty IRI reference", span, "lexical"))
         elif kind == "open_iri":
             errors.append(ParseError("unterminated IRI reference", span, "lexical"))
         elif kind == "open_literal":
@@ -200,12 +200,13 @@ def parse_graph_lenient(text: str) -> Tuple[Graph, List[ParseError]]:
     triples: List[Triple] = []
     lex_errors: List[ParseError] = []
     errors: List[ParseError] = []
+    known: Dict[str, Term] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         terms: List[_Spanned] = []  # the open statement's terms, spanned from their first prefix
         prefixes: List[_Spanned] = []  # prefixes still waiting for their base term
         last: Optional[SourceSpan] = None  # the open statement's last token
         skipping = False  # after a bad term, until the statement's '.'
-        for token, span in _tokens(lineno, line, lex_errors):
+        for token, span in _tokens(lineno, line, lex_errors, known):
             if skipping:
                 skipping = token != "."
             elif isinstance(token, Term):
@@ -243,7 +244,7 @@ def parse_graph(text: str) -> Graph:
 def parse_term(text: str) -> Term:
     """Parse a single term, as it would appear inside a statement."""
     errors: List[ParseError] = []
-    tokens = [tok for n, line in enumerate(text.splitlines(), start=1) for tok in _tokens(n, line, errors)]
+    tokens = [tok for n, line in enumerate(text.splitlines(), start=1) for tok in _tokens(n, line, errors, {})]
     if errors:
         raise ValueError(str(errors[0]))
     lines = {span.line for _, span in tokens}  # a term, like a statement, sits on one line
@@ -283,12 +284,15 @@ def serialize_triple(t: Triple) -> str:
     return f"{serialize_term(t.s)} {serialize_term(t.p)} {serialize_term(t.o)} ."
 
 
-class _TermText(dict):
-    """Each term's serialized form, computed on first lookup."""
+class _Memo(dict):
+    """The values of a one-argument function, each computed on first lookup."""
 
-    def __missing__(self, t: Term) -> str:
-        text = self[t] = serialize_term(t)
-        return text
+    def __init__(self, f: Callable[[Hashable], str]) -> None:
+        self.f = f
+
+    def __missing__(self, key: Hashable) -> str:
+        value = self[key] = self.f(key)
+        return value
 
 
 def serialize_graph(g: Graph) -> str:
@@ -298,5 +302,5 @@ def serialize_graph(g: Graph) -> str:
     proper prefix of another is a bare name or blank label, whose next
     character sorts after the space that ends the shorter one.  Each
     distinct term is serialized once."""
-    text = _TermText()
+    text = _Memo(serialize_term)
     return "".join(sorted([f"{text[t.s]} {text[t.p]} {text[t.o]} .\n" for t in g]))

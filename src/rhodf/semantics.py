@@ -35,6 +35,15 @@ I.2-I.5 and II.2/II.3, Disjointness I.1-I.4 and II.1-II.4, Simple.2-.5
 and the extension checks of ``_structural_violations``.  ``_saturate``
 fills both typing sides in one loop and both star positions from one
 list.
+
+Both work on whole sets where they can, so that the hash each element
+stores is reused instead of being computed in Python per element.
+``_saturate`` moves a whole extension per subproperty, subclass, domain
+or range pair with one set operation.  The hierarchy and disjointness
+families of ``_global_violations`` first run one subset test per pair,
+such as ``succ[b] <= succ[a]`` for Subproperty.1, and enumerate the
+pair's elements one by one only when it fails, so the violations and
+their order are those of the plain loops.
 """
 
 from __future__ import annotations
@@ -76,7 +85,7 @@ from .core import (
     try_negate,
 )
 from .entailment import solve
-from .parser import parse_term, serialize_term
+from .parser import _Memo, parse_term, serialize_term
 from .reasoner import _closure as closure
 
 Element = Hashable
@@ -218,6 +227,12 @@ def _saturate(
 
     ``stars`` holds one ``(e, p, c, k)`` per star statement: ``p``
     pairs each member of ``c``, at pair index ``k``, with ``e``.
+
+    Each round repeats every fill until a round adds nothing, and each
+    fill is one set operation: ``ext[q] |= ext[p]`` along a subproperty
+    pair, whose change of size marks the round as changed, and for
+    members ``new = xs - bucket``, so that ``type`` pairs are added only
+    for the new members.
     """
     sp_pairs = list(ext_p_pos.get(SP, ()))
     sc_pairs = list(ext_p_pos.get(SC, ()))
@@ -225,52 +240,56 @@ def _saturate(
     typing = [(k, p, c) for k, rel in ((0, DOM), (1, RANGE)) for p, c in ext_p_pos.get(rel, ())]
     changed = False
 
-    def add_pair(p: Element, pr: Pair) -> None:
+    def add_pairs(p: Element, prs: Set[Pair]) -> None:
         nonlocal changed
         bucket = ext_p_pos.setdefault(p, set())
-        if pr not in bucket:
-            bucket.add(pr)
-            changed = True
+        n = len(bucket)
+        bucket |= prs
+        changed = changed or len(bucket) != n
 
-    def add_member(c: Element, x: Element) -> None:
+    def add_members(c: Element, xs: Set[Element]) -> None:
         nonlocal changed
         bucket = ext_c_pos.setdefault(c, set())
-        if x not in bucket:
-            bucket.add(x)
-            ext_p_pos.setdefault(TYPE, set()).add((x, c))
+        new = xs - bucket
+        if new:
+            bucket |= new
+            ext_p_pos.setdefault(TYPE, set()).update([(x, c) for x in new])
             changed = True
 
     while True:
         changed = False
         for p, q in sp_pairs:
-            for pr in list(ext_p_pos.get(p, ())):
-                add_pair(q, pr)
+            prs = ext_p_pos.get(p)
+            if prs:
+                add_pairs(q, prs)
         for c, d in sc_pairs:
-            for x in list(ext_c_pos.get(c, ())):
-                add_member(d, x)
+            xs = ext_c_pos.get(c)
+            if xs:
+                add_members(d, xs)
         for k, p, c in typing:
-            for pr in list(ext_p_pos.get(p, ())):
-                add_member(c, pr[k])
+            prs = ext_p_pos.get(p)
+            if not prs:
+                continue
+            add_members(c, {pr[k] for pr in prs})
             np_, nc = complement.get(p), complement.get(c)
             if np_ is None or nc is None:
                 continue
-            neg_m = ext_c_pos.get(nc, _EMPTY_MEMBERS)
+            neg_m = ext_c_pos.get(nc)
             if not neg_m:
                 continue
             # Each member of c's complement pairs through p's complement
             # with every element on the other side of p's pairs.
-            for pr in list(ext_p_pos.get(p, ())):
-                y = pr[1 - k]
-                for x in list(neg_m):
-                    add_pair(np_, (x, y) if k == 0 else (y, x))
+            ys = {pr[1 - k] for pr in prs}
+            add_pairs(np_, {(x, y) for y in ys for x in neg_m} if k == 0 else {(y, x) for y in ys for x in neg_m})
         for e, p, c, k in stars:
-            for x in list(ext_c_pos.get(c, ())):
-                add_pair(p, (x, e) if k == 0 else (e, x))
+            xs = ext_c_pos.get(c)
+            if xs:
+                add_pairs(p, {(x, e) for x in xs} if k == 0 else {(e, x) for x in xs})
             np_, nc = complement.get(p), complement.get(c)
             if np_ is not None and nc is not None:
-                for pr in list(ext_p_pos.get(np_, ())):
-                    if pr[1 - k] == e:
-                        add_member(nc, pr[k])
+                xs = {pr[k] for pr in ext_p_pos.get(np_, ()) if pr[1 - k] == e}
+                if xs:
+                    add_members(nc, xs)
         if not changed:
             return
 
@@ -417,7 +436,10 @@ def _global_violations(i: Interpretation) -> List[Violation]:
             succ.setdefault(x, set()).add(y)
         for a, bs in succ.items():
             for b in bs:
-                for c in succ.get(b, ()):
+                cs = succ.get(b)
+                if cs is None or cs <= bs:
+                    continue
+                for c in cs:
                     if c not in bs:
                         out.append(Violation(f"{name}.1", f"{_fmt(a)} under {_fmt(b)} under {_fmt(c)} but not {_fmt(a)} under {_fmt(c)}"))
         for p, q in rel:
@@ -485,18 +507,31 @@ def _global_violations(i: Interpretation) -> List[Violation]:
         for c, d in rel:
             if (d, c) not in rel:
                 out.append(Violation(f"{label}.Symmetry", f"{_fmt_pair((c, d))} without {_fmt_pair((d, c))}"))
-        # below[c] lists the e with (e, c) in sub, in sub's iteration order.
+        # below[c] lists the e with (e, c) in sub, in sub's iteration order;
+        # firsts[d] holds the c with (c, d) in rel, seconds[c] the d.
         below: Dict[Element, List[Element]] = {}
         for e, c in sub:
             below.setdefault(c, []).append(e)
+        below_set = {c: set(es) for c, es in below.items()}
+        firsts: Dict[Element, Set[Element]] = {}
+        seconds: Dict[Element, Set[Element]] = {}
         for c, d in rel:
-            for e in below.get(c, ()):
+            firsts.setdefault(d, set()).add(c)
+            seconds.setdefault(c, set()).add(d)
+        for c, d in rel:
+            es = below_set.get(c)
+            if es is None or es <= firsts[d]:
+                continue
+            for e in below[c]:
                 if (e, d) not in rel:
                     out.append(Violation(f"{label}.Sub-Transitivity", f"{_fmt(e)} below {_fmt(c)} but {_fmt_pair((e, d))} missing"))
         for c, d in rel:
             if c != d:
                 continue
-            for e in dom - vocab_els:
+            others = dom - vocab_els
+            if others <= seconds[c]:
+                continue
+            for e in others:
                 if (c, e) not in rel:
                     out.append(Violation(f"{label}.Exhaustive", f"self-disjoint {_fmt(c)} is not disjoint from {_fmt(e)}"))
 
@@ -666,28 +701,29 @@ def serialize_interpretation(i: Interpretation) -> str:
     left implicit.
     """
     lines: List[str] = []
-
-    def field(el: Element) -> str:
-        return _field(el, i.complement)
+    # Each element is formatted once: ``text`` is the sort key, ``field``
+    # what is written.
+    text = _Memo(_fmt)
+    field = _Memo(lambda el: _field(el, i.complement))
 
     plain_r = i.delta_r - i.delta_c - i.delta_l
     for directive, dom in (("R", plain_r), ("P", i.delta_p - _VOCAB_ELEMENTS), ("C", i.delta_c), ("L", i.delta_l)):
-        for el in sorted(dom, key=_fmt):
-            lines.append(f"{directive} {field(el)}")
-    for p in sorted(i.ext_p_pos, key=_fmt):
-        for s, o in sorted(i.ext_p_pos[p], key=lambda pr: (_fmt(pr[0]), _fmt(pr[1]))):
-            lines.append(f"P+ {field(p)} {field(s)} {field(o)}")
-    for c in sorted(i.ext_c_pos, key=_fmt):
-        for x in sorted(i.ext_c_pos[c], key=_fmt):
-            lines.append(f"C+ {field(c)} {field(x)}")
-    for t in sorted(i.denote, key=serialize_term):
+        for el in sorted(dom, key=text.__getitem__):
+            lines.append(f"{directive} {field[el]}")
+    for p in sorted(i.ext_p_pos, key=text.__getitem__):
+        for s, o in sorted(i.ext_p_pos[p], key=lambda pr: (text[pr[0]], text[pr[1]])):
+            lines.append(f"P+ {field[p]} {field[s]} {field[o]}")
+    for c in sorted(i.ext_c_pos, key=text.__getitem__):
+        for x in sorted(i.ext_c_pos[c], key=text.__getitem__):
+            lines.append(f"C+ {field[c]} {field[x]}")
+    for t in sorted(i.denote, key=text.__getitem__):
         el = i.denote[t]
         if isinstance(el, Term) and el == t:
             continue
         if isinstance(el, str):
-            if el == serialize_term(t) or (isinstance(t, Literal) and el == t.lexical):
+            if el == text[t] or (isinstance(t, Literal) and el == t.lexical):
                 continue
-        lines.append(f"I {serialize_term(t)} {field(el)}")
+        lines.append(f"I {text[t]} {field[el]}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 

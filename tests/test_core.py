@@ -309,6 +309,24 @@ class TestRecordDetails:
         assert SatisfactionReport(True).violations == ()
         assert EntailmentReport(holds=True, missing=(T,)) == EntailmentReport(True, None, None, (T,))
 
+    @pytest.mark.parametrize(
+        "term, field", [(A, "name"), (Literal("v"), "lexical"), (Blank("x"), "name"), (Neg(A), "base"), (Star(Neg(A)), "cls")]
+    )
+    def test_term_hash_is_cached_but_not_a_field(self, term, field):
+        """Each term stores the hash of the tuple of its one field, so set
+        and dict orders are those of an uncached hash."""
+        value = getattr(term, field)
+        for twin in (term, pickle.loads(pickle.dumps(term)), copy.copy(term), copy.deepcopy(term)):
+            assert hash(twin) == hash((value,)) == twin._h
+        assert type(term)._names == (field,)
+        assert "_h" not in repr(term)
+        assert term.__reduce__() == (type(term), (value,))
+        stale = copy.copy(term)
+        object.__setattr__(stale, "_h", term._h + 1)
+        assert stale == term
+        with pytest.raises(AttributeError):
+            term._h = 0
+
     def test_interpretation_cache_is_not_a_field(self):
         i = Interpretation(*RECORDS[-1][1])
         twin = Interpretation(*RECORDS[-1][1])

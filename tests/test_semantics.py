@@ -32,6 +32,7 @@ from rhodf import (
     spchain,
     try_triple,
 )
+from rhodf import semantics
 from rhodf.semantics import _fmt, _fmt_pair, _simple_violations
 
 seeds = st.integers(min_value=0, max_value=10_000)
@@ -484,3 +485,81 @@ class TestReferenceSemantics:
             assert got == want, g.triples()
             assert serialize_interpretation(got) == serialize_interpretation(want)
             assert check_model(got, g) == reference_semantics.check_model(want, g)
+
+
+class TestWholeSetShortcuts:
+    """The subset tests ``_global_violations`` runs before enumerating,
+    and the whole-set fills of ``_saturate``, each made to fail or to add,
+    against ``tests/reference_semantics.py``."""
+
+    @staticmethod
+    def edited(i, drop=(), add=()):
+        ext = dict(i.ext_p_pos)
+        for p, pair in drop:
+            assert pair in ext[Iri(p)]
+            ext[Iri(p)] = ext[Iri(p)] - {pair}
+        for p, pair in add:
+            ext[Iri(p)] = ext[Iri(p)] | {pair}
+        return Interpretation(i.delta_r, i.delta_p, i.delta_c, i.delta_l, ext, i.ext_c_pos, i.complement, i.denote)
+
+    def test_failed_subset_tests_enumerate_as_the_reference(self):
+        g = Graph(list(spchain(8)) + list(parse_graph("c1 sc c2 .\nc2 sc c3 .\nc3 cdisj d .\n")))
+        model = canonical_model(g)
+        assert not semantics._global_violations(model)
+        edits = [
+            ((("sp", (Iri("p2"), Iri("p5"))),), ()),
+            ((("sc", (Iri("c1"), Iri("c3"))),), ()),
+            ((("pdisj", (Neg(Iri("p6")), Iri("p2"))),), ()),
+            ((), (("cdisj", (Iri("c2"), Iri("c2"))),)),
+        ]
+        # All four edits at once.
+        edits.append((sum((drop for drop, _ in edits), ()), sum((add for _, add in edits), ())))
+        seen = set()
+        for drop, add in edits:
+            i = self.edited(model, drop, add)
+            got = [str(v) for v in semantics._global_violations(i)]
+            assert got == [str(v) for v in reference_semantics._global_violations(i)], (drop, add)
+            seen.update(v.split(":")[0] for v in got)
+        family = {"Subproperty.1", "Subclass.1", "Disjointness I.3.Sub-Transitivity", "Disjointness I.4.Sub-Transitivity"}
+        assert family | {"Disjointness I.3.Exhaustive"} <= seen, seen
+
+    def test_blank_and_literal_below_sp_match_the_reference_model(self):
+        g = parse_graph('a sp _:b .\na sp "v" .\n_:b sp q .\nx a y .\n_:b dom c .\n"v" range d .\ns r *c .\nz !q w .\n')
+        got, want = canonical_model(g), reference_semantics.canonical_model(g)
+        assert got == want
+        assert (Iri("x"), Iri("y")) in got.pos_pairs(Blank("b")) & got.pos_pairs(Literal("v"))
+        assert serialize_interpretation(got) == serialize_interpretation(want)
+        assert check_model(got, g).satisfied
+
+    def test_every_fill_adds_as_the_reference(self):
+        """On every graph tried, the closure already derives what the
+        member, typing and star fills would add to its canonical model, so
+        they are driven here directly: each fill below adds what only an
+        earlier fill makes possible."""
+        sp, sc, typ, dom, rng = (Iri(v) for v in ("sp", "sc", "type", "dom", "range"))
+
+        def start():
+            ext_p_pos = {
+                sp: {("a", "b")},  # b absorbs (x, y)
+                "a": {("x", "y")},
+                dom: {("b", "c")},  # x joins c
+                rng: {("b", "k")},  # y joins k, then k's superclass j
+                sc: {("k", "j")},
+                "!s": {("e", "w")},  # w joins !m through the star e s *m
+            }
+            ext_c_pos = {"!c": {"z"}}  # z pairs with y through !b
+            complement = {"b": "!b", "!b": "b", "c": "!c", "!c": "c", "s": "!s", "!s": "s", "m": "!m", "!m": "m"}
+            return ext_p_pos, ext_c_pos, complement
+
+        ext_p_pos, ext_c_pos, complement = start()
+        # e r *c reaches x once x joins c; u t *j (subject star) reaches y.
+        semantics._saturate(ext_p_pos, ext_c_pos, complement, [("e", "r", "c", 1), ("u", "t", "j", 0), ("e", "s", "m", 1)])
+        ref_p, ref_c, _ = start()
+        reference_semantics._saturate(ref_p, ref_c, complement, [("e", "r", "c"), ("e", "s", "m")], [("u", "t", "j")])
+        assert (ext_p_pos, ext_c_pos) == (ref_p, ref_c)
+        assert ext_p_pos["b"] == {("x", "y")}
+        assert ext_c_pos["c"] == {"x"} and ext_c_pos["j"] == {"y"}
+        assert ("z", "y") in ext_p_pos["!b"]
+        assert ext_p_pos["r"] == {("e", "x")} and ext_p_pos["t"] == {("y", "u")}
+        assert ext_c_pos["!m"] == {"w"}
+        assert {("x", "c"), ("y", "j"), ("w", "!m")} <= ext_p_pos[typ]

@@ -1,6 +1,7 @@
-"""Checks on the benchmark harness and the demos that need only the
-standard library."""
+"""Checks on the benchmark harness, the demos and the package's
+imports that need only the standard library."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -17,6 +18,7 @@ PERFBENCH = pathlib.Path(__file__).parent.parent / "perfbench"
 SPANS = PERFBENCH / "spans.py"
 MEDICAL = str(pathlib.Path(__file__).parent / "fixtures" / "medical.rnt")
 DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
+SOURCES = sorted((pathlib.Path(__file__).parent.parent / "src" / "rhodf").glob("*.py"))
 
 
 def test_every_traced_function_exists():
@@ -77,3 +79,19 @@ def test_demo_runs_cleanly(demo):
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(rhodf.__file__).parent.parent))
     done = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stderr) == (0, "")
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda path: path.name)
+def test_runtime_imports_only_the_standard_library(source):
+    """The runtime is dependency-free: every import of the package, at
+    any depth, names a standard library module or the package itself."""
+    for node in ast.walk(ast.parse(source.read_text(), str(source))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            top = name.split(".")[0]
+            assert top in sys.stdlib_module_names or top == "rhodf", (source.name, node.lineno, name)
