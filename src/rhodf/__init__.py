@@ -20,7 +20,7 @@ _HOMES = {
     "parser": "GraphParseError ParseError SourceSpan parse_graph parse_graph_lenient parse_term serialize_graph serialize_term "
     "serialize_triple",
     "reasoner": "FULL_RULE_IDS RDF_RULE_IDS ClosureCapError ClosureResult ClosureStats Domains ProofStep RuleId closure "
-    "default_cap instantiate recognize_domains",
+    "default_cap instantiate",
     "entailment": "EntailmentReport SearchBudgetExceeded entails extract_proof find_map",
     "semantics": "Interpretation SatisfactionReport Violation canonical_model check_model load_interpretation project "
     "serialize_interpretation",

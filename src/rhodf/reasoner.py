@@ -16,8 +16,8 @@ The closure engine is a deterministic semi-naive fixpoint: each round
 only matches instantiations touching triples derived in the previous
 round, rules fire in ascending :class:`RuleId` order, and triples keep
 first-insertion order.  The first derivation of every new triple is
-recorded for proof extraction.  :func:`instantiate` and
-:func:`recognize_domains` run the first round of an engine on their graph.
+recorded for proof extraction.  :func:`instantiate` runs the first round
+of an engine on its graph.
 
 Rules join over integers.  A :class:`TermTable` gives every term a dense
 id and answers, per id, what the rules ask of a term: its complement,
@@ -926,26 +926,14 @@ class _Engine:
 # ---------------------------------------------------------------------------
 
 
-def recognize_domains(g: Graph) -> Domains:
-    """Collect the class and property terms a graph talks about.
-
-    Property terms: every predicate, subjects and objects of ``sp``,
-    subjects of ``dom``/``range``/``pdisj``, plus the reserved
-    vocabulary.  Class terms: objects of ``type``/``dom``/``range``,
-    subjects and objects of ``sc``/``cdisj``, and star subscripts.  Both
-    sets are closed under single negation.
-    """
-    engine = _Engine(g, frozenset(), len(g))
-    engine.start_round()
-    return engine.recognized()
-
-
 def instantiate(rule: RuleId, g: Graph, domains: Optional[Domains] = None) -> List[ProofStep]:
     """All applications of ``rule`` to ``g`` that derive something new.
 
     Premises are drawn from ``g``; instantiations whose conclusion is
     invalid or already present are dropped.  ``domains`` feeds the free
-    variable of rules 6c/7c and defaults to ``recognize_domains(g)``.
+    variable of rules 6c/7c and defaults to the class and property terms
+    ``g`` itself names, those ``closure(g, rule_ids=frozenset())``
+    reports.
     """
     if rule in (RuleId.R1A, RuleId.R1B):
         raise ValueError(f"rule {rule} is not a closure rule")

@@ -12,11 +12,31 @@ closure: elements are the closure's own terms, denotation is identity,
 and extensions start from the closure's triples.  Star terms denote
 nothing; a triple with a star term constrains extensions through its
 subscript class instead, so star positions are excluded from the pair
-extensions.  Extensions are then saturated semantically, because a
-blank or a literal below a subproperty statement acquires obligations
-that no well-formed triple can record; see ``_saturate``.  The result
-satisfies every graph, including contradictory ones, which is the
-paraconsistency property the test suite exercises.
+extensions.  The result satisfies every graph, including contradictory
+ones, which is the paraconsistency property the test suite exercises.
+
+The closure rules decide entailment, so the model only has to repair
+what triple syntax cannot say.  Only an ``Iri`` or a ``Neg`` can be a
+predicate, so no triple gives a blank or a literal a pair, even below a
+subproperty pair (Subproperty.2).  One pass adds the pairs of ``p`` to
+each blank or literal ``q`` with ``(p, q)`` in the extension of ``sp``.
+One pass is enough because rule 2a makes ``sp`` transitive: a blank or
+literal ``p`` gets its pairs only from the ``p'`` below it, and rule 2a
+puts each such ``p'`` below ``q`` as well.  The closure already meets every other condition
+that moves entries between extensions:
+
+- members along ``sc`` (Subclass.2), by rule 3b;
+- members by ``dom``/``range`` (Typing I.2/I.3), by 4a/4b, and for a
+  blank or literal with a domain or range by 5a/5b, from the predicates
+  below it in ``sp`` that its pairs come from;
+- negative pairs into complements (Typing I.4/I.5), by 4c/4d; a blank
+  or a literal has no complement, so these stay vacuous for it;
+- a star's members (Simple.2/.3), by 4e/4f, and its negative side
+  (Simple.4/.5), by 4g/4h; a star's predicate is never a blank or a
+  literal.
+
+The pass adds no member, so the class extensions are exactly the
+closure's ``type`` triples.
 
 ``check_model`` verifies a graph against an interpretation and reports
 each failed condition by name, e.g. ``Simple.2`` or ``Disjointness
@@ -32,18 +52,14 @@ definition (a nested function or a loop over a two-row table) run once
 per side, with a pair index that is 0 on the subject or domain side
 and 1 on the object or range side: Subproperty/Subclass .1-.3, Typing
 I.2-I.5 and II.2/II.3, Disjointness I.1-I.4 and II.1-II.4, Simple.2-.5
-and the extension checks of ``_structural_violations``.  ``_saturate``
-fills both typing sides in one loop and both star positions from one
-list.
+and the extension checks of ``_structural_violations``.
 
-Both work on whole sets where they can, so that the hash each element
-stores is reused instead of being computed in Python per element.
-``_saturate`` moves a whole extension per subproperty, subclass, domain
-or range pair with one set operation.  The hierarchy and disjointness
-families of ``_global_violations`` first run one subset test per pair,
-such as ``succ[b] <= succ[a]`` for Subproperty.1, and enumerate the
-pair's elements one by one only when it fails, so the violations and
-their order are those of the plain loops.
+The hierarchy and disjointness families of ``_global_violations`` work
+on whole sets, so that the hash each element stores is reused instead
+of being computed in Python per element.  They first run one subset
+test per pair, such as ``succ[b] <= succ[a]`` for Subproperty.1, and
+enumerate the pair's elements one by one only when it fails, so the
+violations and their order are those of the plain loops.
 """
 
 from __future__ import annotations
@@ -205,95 +221,6 @@ def _is_negative_element(el: Element) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _saturate(
-    ext_p_pos: Dict[Element, Set[Pair]],
-    ext_c_pos: Dict[Element, Set[Element]],
-    complement: Mapping[Element, Element],
-    stars: Sequence[Tuple[Element, Element, Element, int]],
-) -> None:
-    """Grow the closure-backed extensions to their semantic fixpoint.
-
-    Deduction cannot place a blank or a literal in predicate position,
-    so the pair extension of such an element stays empty even when a
-    subproperty pair demands that it absorb another extension.  The
-    shortfall is repaired directly on the interpretation: pairs flow
-    along subproperty pairs, members flow along subclass, domain and
-    range pairs, star statements reach semantically added members, and
-    the negative typing conditions fill complements where complements
-    exist.  Class membership and the extension of ``type`` stay
-    synchronized throughout.  The extensions of the reserved vocabulary
-    elements other than ``type`` are never touched, so every addition
-    here is forced by a satisfaction condition on models of the graph.
-
-    ``stars`` holds one ``(e, p, c, k)`` per star statement: ``p``
-    pairs each member of ``c``, at pair index ``k``, with ``e``.
-
-    Each round repeats every fill until a round adds nothing, and each
-    fill is one set operation: ``ext[q] |= ext[p]`` along a subproperty
-    pair, whose change of size marks the round as changed, and for
-    members ``new = xs - bucket``, so that ``type`` pairs are added only
-    for the new members.
-    """
-    sp_pairs = list(ext_p_pos.get(SP, ()))
-    sc_pairs = list(ext_p_pos.get(SC, ()))
-    # (k, p, c): the elements at index k of p's pairs are members of c.
-    typing = [(k, p, c) for k, rel in ((0, DOM), (1, RANGE)) for p, c in ext_p_pos.get(rel, ())]
-    changed = False
-
-    def add_pairs(p: Element, prs: Set[Pair]) -> None:
-        nonlocal changed
-        bucket = ext_p_pos.setdefault(p, set())
-        n = len(bucket)
-        bucket |= prs
-        changed = changed or len(bucket) != n
-
-    def add_members(c: Element, xs: Set[Element]) -> None:
-        nonlocal changed
-        bucket = ext_c_pos.setdefault(c, set())
-        new = xs - bucket
-        if new:
-            bucket |= new
-            ext_p_pos.setdefault(TYPE, set()).update([(x, c) for x in new])
-            changed = True
-
-    while True:
-        changed = False
-        for p, q in sp_pairs:
-            prs = ext_p_pos.get(p)
-            if prs:
-                add_pairs(q, prs)
-        for c, d in sc_pairs:
-            xs = ext_c_pos.get(c)
-            if xs:
-                add_members(d, xs)
-        for k, p, c in typing:
-            prs = ext_p_pos.get(p)
-            if not prs:
-                continue
-            add_members(c, {pr[k] for pr in prs})
-            np_, nc = complement.get(p), complement.get(c)
-            if np_ is None or nc is None:
-                continue
-            neg_m = ext_c_pos.get(nc)
-            if not neg_m:
-                continue
-            # Each member of c's complement pairs through p's complement
-            # with every element on the other side of p's pairs.
-            ys = {pr[1 - k] for pr in prs}
-            add_pairs(np_, {(x, y) for y in ys for x in neg_m} if k == 0 else {(y, x) for y in ys for x in neg_m})
-        for e, p, c, k in stars:
-            xs = ext_c_pos.get(c)
-            if xs:
-                add_pairs(p, {(x, e) for x in xs} if k == 0 else {(e, x) for x in xs})
-            np_, nc = complement.get(p), complement.get(c)
-            if np_ is not None and nc is not None:
-                xs = {pr[k] for pr in ext_p_pos.get(np_, ()) if pr[1 - k] == e}
-                if xs:
-                    add_members(nc, xs)
-        if not changed:
-            return
-
-
 def canonical_model(g: Graph, cap: Optional[int] = None) -> "Interpretation":
     """The interpretation induced by the full closure of ``g``.
 
@@ -301,8 +228,9 @@ def canonical_model(g: Graph, cap: Optional[int] = None) -> "Interpretation":
     domains are the recognized property/class terms, the resource
     domain collects subjects, objects and star subscripts, and the
     extensions hold the closure's triples, with star positions left
-    out of the pair extensions and a final semantic saturation pass
-    covering the consequences that triple syntax cannot express.
+    out of the pair extensions.  One pass along ``sp`` then gives each
+    blank or literal below a subproperty pair the pairs that no triple
+    can record for it; see the module docstring.
 
     The model is a countermodel for ground star-free queries: a valid
     star-free, blank-free triple over the closure's terms holds in it
@@ -316,21 +244,23 @@ def canonical_model(g: Graph, cap: Optional[int] = None) -> "Interpretation":
     delta_r: Set[Element] = set(delta_c)
     ext_p_pos: Dict[Element, Set[Pair]] = {}
     ext_c_pos: Dict[Element, Set[Element]] = {}
-    stars: List[Tuple[Element, Element, Element, int]] = []
     for t in cl:
         for x in (t.s, t.o):
             if isinstance(x, Star):
                 delta_r.add(x.cls)
             else:
                 delta_r.add(x)
-        if isinstance(t.o, Star):
-            stars.append((t.s, t.p, t.o.cls, 1))
-        elif isinstance(t.s, Star):
-            stars.append((t.o, t.p, t.s.cls, 0))
-        else:
+        if not isinstance(t.s, Star) and not isinstance(t.o, Star):
             ext_p_pos.setdefault(t.p, set()).add((t.s, t.o))
         if t.p == TYPE:
             ext_c_pos.setdefault(t.o, set()).add(t.s)
+    # Only an Iri or a Neg can be a predicate, so the closure gives a blank
+    # or a literal no pairs.  Rule 2a makes sp transitive, so one pass
+    # reaches each such element from every predicate below it.
+    for p, q in ext_p_pos.get(SP, ()):
+        prs = ext_p_pos.get(p)
+        if prs and isinstance(q, (Blank, Literal)):
+            ext_p_pos.setdefault(q, set()).update(prs)
     complement: Dict[Element, Element] = {}
     for el in set(delta_r) | delta_p | delta_c:
         mate = try_negate(el) if isinstance(el, Term) else None
@@ -341,7 +271,6 @@ def canonical_model(g: Graph, cap: Optional[int] = None) -> "Interpretation":
         mate = complement.get(el)
         if mate is not None:
             delta_r.add(mate)
-    _saturate(ext_p_pos, ext_c_pos, complement, stars)
     delta_l = {el for el in delta_r if isinstance(el, Literal)}
     denote: Dict[Term, Element] = {}
     for el in delta_r | delta_p | delta_c:

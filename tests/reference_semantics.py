@@ -1,10 +1,14 @@
-"""The model checker and the canonical model's saturation, kept as an
-independent oracle.
+"""The model checker and the canonical model's old saturation, kept as
+an independent oracle.
 
 This is :mod:`rhodf.semantics` as it stood before each mirrored condition
 family (sp/sc, dom/range, object/subject) became one definition: every
-condition of the model checker and every fill of ``_saturate`` is written
-out once per side.  ``tests/test_semantics.py`` diffs the library's
+condition of the model checker is written out once per side.  Its
+``_saturate`` keeps the five fills (sp pairs, sc members, dom/range
+typing, negative typing, star members and their negative side) repeated
+until nothing changes, which the library no longer runs: there the
+closure derives all but the sp fill into blanks and literals, and one
+pass does that.  ``tests/test_semantics.py`` diffs the library's
 violation lists (text and order), canonical models and fixture dumps
 against this module.  Nothing in the library imports it.
 """

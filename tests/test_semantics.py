@@ -489,7 +489,7 @@ class TestReferenceSemantics:
 
 class TestWholeSetShortcuts:
     """The subset tests ``_global_violations`` runs before enumerating,
-    and the whole-set fills of ``_saturate``, each made to fail or to add,
+    each made to fail, and the one sp pass of ``canonical_model``,
     against ``tests/reference_semantics.py``."""
 
     @staticmethod
@@ -531,35 +531,58 @@ class TestWholeSetShortcuts:
         assert serialize_interpretation(got) == serialize_interpretation(want)
         assert check_model(got, g).satisfied
 
-    def test_every_fill_adds_as_the_reference(self):
-        """On every graph tried, the closure already derives what the
-        member, typing and star fills would add to its canonical model, so
-        they are driven here directly: each fill below adds what only an
-        earlier fill makes possible."""
-        sp, sc, typ, dom, rng = (Iri(v) for v in ("sp", "sc", "type", "dom", "range"))
 
-        def start():
-            ext_p_pos = {
-                sp: {("a", "b")},  # b absorbs (x, y)
-                "a": {("x", "y")},
-                dom: {("b", "c")},  # x joins c
-                rng: {("b", "k")},  # y joins k, then k's superclass j
-                sc: {("k", "j")},
-                "!s": {("e", "w")},  # w joins !m through the star e s *m
-            }
-            ext_c_pos = {"!c": {"z"}}  # z pairs with y through !b
-            complement = {"b": "!b", "!b": "b", "c": "!c", "!c": "c", "s": "!s", "!s": "s", "m": "!m", "!m": "m"}
-            return ext_p_pos, ext_c_pos, complement
+class TestModelIsClosurePlusOneSpPass:
+    """The canonical model is the closure plus one pass along ``sp`` into
+    blanks and literals: each fill the reference model still runs is a
+    closure rule here."""
 
-        ext_p_pos, ext_c_pos, complement = start()
-        # e r *c reaches x once x joins c; u t *j (subject star) reaches y.
-        semantics._saturate(ext_p_pos, ext_c_pos, complement, [("e", "r", "c", 1), ("u", "t", "j", 0), ("e", "s", "m", 1)])
-        ref_p, ref_c, _ = start()
-        reference_semantics._saturate(ref_p, ref_c, complement, [("e", "r", "c"), ("e", "s", "m")], [("u", "t", "j")])
-        assert (ext_p_pos, ext_c_pos) == (ref_p, ref_c)
-        assert ext_p_pos["b"] == {("x", "y")}
-        assert ext_c_pos["c"] == {"x"} and ext_c_pos["j"] == {"y"}
-        assert ("z", "y") in ext_p_pos["!b"]
-        assert ext_p_pos["r"] == {("e", "x")} and ext_p_pos["t"] == {("y", "u")}
-        assert ext_c_pos["!m"] == {"w"}
-        assert {("x", "c"), ("y", "j"), ("w", "!m")} <= ext_p_pos[typ]
+    @pytest.mark.parametrize(
+        "text, rule, added",
+        [
+            ("x type c .\nc sc d .\n", "3b", "x type d"),
+            ("p dom c .\nx p y .\n", "4a", "x type c"),
+            ("p range c .\nx p y .\n", "4b", "y type c"),
+            ("a sp _:b .\n_:b dom c .\nx a y .\n", "5a", "x type c"),
+            ('a sp "v" .\n"v" range c .\nx a y .\n', "5b", "y type c"),
+            ("d dom b .\nx type !b .\nz d y .\n", "4c", "x !d y"),
+            ("d range b .\nx type !b .\nz d y .\n", "4d", "z !d x"),
+            ("e r *c .\nx type c .\n", "4e", "e r x"),
+            ("*c t u .\nx type c .\n", "4f", "x t u"),
+            ("e s *m .\ne !s w .\n", "4g", "w type !m"),
+            ("*m s u .\nw !s u .\n", "4h", "w type !m"),
+        ],
+    )
+    def test_each_reference_fill_is_a_closure_rule(self, text, rule, added):
+        """sc members, dom/range typing (directly and through a blank or
+        a literal below sp), negative typing, and a star's members and
+        negative side at the object and at the subject."""
+        g = parse_graph(text)
+        (t,) = parse_graph(added + " .\n")
+        assert closure(g).provenance[t].rule is RuleId(rule)
+        got = canonical_model(g)
+        assert got == reference_semantics.canonical_model(g)
+        assert (t.s, t.o) in got.pos_pairs(t.p)
+        if t.p == TYPE:
+            assert t.s in got.pos_members(t.o)
+
+    def test_only_blanks_and_literals_gain_pairs(self, medical_text, medical_negative_text):
+        graphs = [parse_graph(medical_text), parse_graph(medical_negative_text), spchain(48)]
+        graphs += [cubic(n) for n in range(1, 9)]
+        graphs += [random_graph(seed=seed, max_triples=20, max_terms=8, salt_contradiction=seed % 4 == 0) for seed in range(600)]
+        gained = 0
+        for g in graphs:
+            cl = closure(g).closure
+            m = canonical_model(g)
+            own = {(t.p, (t.s, t.o)) for t in cl if not isinstance(t.s, Star) and not isinstance(t.o, Star)}
+            pairs = {(p, pr) for p, prs in m.ext_p_pos.items() for pr in prs}
+            assert own <= pairs
+            extra = pairs - own
+            assert all(isinstance(p, (Blank, Literal)) for p, _ in extra), g.triples()
+            gained += len(extra)
+            types = {}
+            for t in cl:
+                if t.p == TYPE:
+                    types.setdefault(t.o, set()).add(t.s)
+            assert m.ext_c_pos == types, g.triples()
+        assert gained
