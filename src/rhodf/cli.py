@@ -138,12 +138,12 @@ def _format_proof(proof) -> str:
             )
             goal = " ; ".join(serialize_triple(t)[:-2] for t in step.targets)
             suffix = f" [{mapping}]" if mapping else ""
-            lines.append(f"({n}) {goal} by rule 1a from {refs}{suffix}")
+            lines.append(f"({n}) {goal} by rule 1a from {refs}{suffix}\n")
         elif step.rule is RuleId.R1B:
-            lines.append(f"({n}) {serialize_triple(step.conclusion)[:-2]} from the input graph")
+            lines.append(f"({n}) {serialize_triple(step.conclusion)[:-2]} from the input graph\n")
         else:
-            lines.append(f"({n}) {serialize_triple(step.conclusion)[:-2]} by rule {step.rule} from {refs}")
-    return "\n".join(lines) + "\n"
+            lines.append(f"({n}) {serialize_triple(step.conclusion)[:-2]} by rule {step.rule} from {refs}\n")
+    return "".join(lines)
 
 
 def cmd_entail(args: argparse.Namespace) -> int:

@@ -109,6 +109,11 @@ class TestEntail:
         assert steps
         assert "by rule 1a" in steps[-1]
 
+    def test_proof_of_an_empty_query_has_no_lines(self, tmp_path, capsys):
+        query = write(tmp_path, "empty.rnt", "")
+        assert main(["entail", "--proof", EXTENDED, query]) == 0
+        assert capsys.readouterr().out == "entailed\n"
+
     def test_budget_exhaustion_reports_unknown(self, tmp_path, capsys):
         query = write(
             tmp_path,

@@ -95,3 +95,23 @@ def test_runtime_imports_only_the_standard_library(source):
         for name in names:
             top = name.split(".")[0]
             assert top in sys.stdlib_module_names or top == "rhodf", (source.name, node.lineno, name)
+
+
+def test_term_engine_states_the_rules_without_the_engine():
+    """The closure's oracle may use the reasoner's names for rules and
+    steps, never its matchers, tables or indexes, and nothing of the
+    layers built on the closure."""
+    source = pathlib.Path(__file__).parent / "term_engine.py"
+    imported = {}
+    for node in ast.walk(ast.parse(source.read_text(), str(source))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported.setdefault(alias.name, set())
+        elif isinstance(node, ast.ImportFrom):
+            imported.setdefault(node.module, set()).update(alias.name for alias in node.names)
+    assert imported["rhodf.reasoner"] <= {"RuleId", "MODE_RULE_IDS", "ProofStep"}
+    assert not {"rhodf.entailment", "rhodf.semantics"} & set(imported)
+    assert not {"entailment", "semantics"} & imported.get("rhodf", set())
+    for names in imported.values():
+        assert not names & {"closure", "instantiate", "TermTable", "TripleIndex"}
+        assert not [name for name in names if name.startswith("_")]
