@@ -393,6 +393,15 @@ class Graph:
         return not self.blanks
 
 
+def _trusted_graph(triples: Iterable[Triple]) -> Graph:
+    """A :class:`Graph` of triples the caller knows to be distinct
+    :class:`Triple` values; they are neither deduplicated nor checked."""
+    g = object.__new__(Graph)
+    g._order = tuple(triples)
+    g._set = frozenset(g._order)
+    return g
+
+
 EMPTY_GRAPH = Graph()
 
 

@@ -10,11 +10,12 @@ patterns one at a time, always the one with the fewest candidates under
 the bindings made so far, keeps its choices on an explicit stack, and
 counts every candidate it tries against an optional budget; exceeding
 the budget raises :class:`SearchBudgetExceeded` so callers can tell
-"gave up" apart from "does not hold".  :func:`find_map` feeds it the
-closure triples a query triple can match, as id triples read from a
-:class:`~rhodf.reasoner.TripleIndex` like the closure engine's; the
-model checker in :mod:`rhodf.semantics` feeds it the blank assignments
-under which a triple holds in an interpretation.
+"gave up" apart from "does not hold".  :func:`entails` decides every
+query by it, over the id triples of the closure engine's own
+:class:`~rhodf.reasoner.TripleIndex`; :func:`find_map` indexes its
+target the same way.  The model checker in :mod:`rhodf.semantics`
+feeds it the blank assignments under which a triple holds in an
+interpretation.
 """
 
 from __future__ import annotations
@@ -147,14 +148,16 @@ def solve(
     return sigma
 
 
-def _match_candidates(target: Graph) -> Tuple[Callable, Callable]:
+def _match_candidates(target: Graph, ix: Optional[TripleIndex] = None) -> Tuple[Callable, Callable]:
     """Candidate lister and binder for :func:`solve`: the lister gives
     the triples of ``target`` a query triple can match under the bindings
-    so far, as id triples of a :class:`~rhodf.reasoner.TripleIndex`, and
-    the binder binds the query's blanks to the terms of one of them."""
-    table = TermTable()
-    ix = TripleIndex(table, map(table.encode, target))
-    ids, terms = table.ids, table.terms
+    so far, as id triples of ``ix``, a :class:`~rhodf.reasoner.TripleIndex`
+    of ``target`` built here unless given, and the binder binds the
+    query's blanks to the terms of one of them."""
+    if ix is None:
+        table = TermTable()
+        ix = TripleIndex(table, map(table.encode, target))
+    ids, terms = ix.table.ids, ix.table.terms
 
     def candidates(t: Triple, sigma: Bindings) -> Sequence[IdTriple]:
         s = sigma.get(t.s) if isinstance(t.s, Blank) else t.s
@@ -185,13 +188,6 @@ def _match_candidates(target: Graph) -> Tuple[Callable, Callable]:
     return candidates, unify
 
 
-def _search(h: Graph, matcher: Tuple[Callable, Callable], budget: Optional[int]) -> Optional[VariableMap]:
-    sigma = solve(list(h), *matcher, budget)
-    if sigma is None:
-        return None
-    return VariableMap.of({v: sigma[v] for v in h.blanks})
-
-
 def find_map(h: Graph, target: Graph, budget: Optional[int] = None) -> Optional[VariableMap]:
     """A substitution sending every triple of ``h`` into ``target``.
 
@@ -199,7 +195,8 @@ def find_map(h: Graph, target: Graph, budget: Optional[int] = None) -> Optional[
     exhaustive; with ``budget`` set it raises
     :class:`SearchBudgetExceeded` after that many candidate attempts.
     """
-    return _search(h, _match_candidates(target), budget)
+    sigma = solve(list(h), *_match_candidates(target), budget)
+    return None if sigma is None else VariableMap.of({v: sigma[v] for v in h.blanks})
 
 
 def extract_proof(h: Graph, mu: VariableMap, result: ClosureResult) -> Tuple[ProofStep, ...]:
@@ -264,23 +261,17 @@ def entails(
 ) -> EntailmentReport:
     """Decide whether ``g`` entails ``h`` under the selected rule set.
 
-    Ground queries are answered by direct membership in the closure;
-    queries with blanks go through the witness search, which ``budget``
-    bounds.
+    One witness search over the closure's own index decides every
+    query; a ground query's triples have one candidate at most.
+    ``budget`` bounds the search of a query with blanks, and ``map`` is
+    reported only for such a query.
     """
     result = closure(g, mode, cap=cap)
-    cl = result.closure
-    if h.is_ground:
-        missing = tuple(t for t in h if t not in cl)
-        if missing:
-            return EntailmentReport(holds=False, missing=missing)
-        mu = VariableMap.identity()
-        proof = extract_proof(h, mu, result) if with_proof else None
-        return EntailmentReport(holds=True, proof=proof)
-    matcher = _match_candidates(cl)
-    mu = _search(h, matcher, budget)
-    if mu is None:
-        missing = tuple(t for t in h if not matcher[0](t, {}))
-        return EntailmentReport(holds=False, missing=missing)
+    blanks = h.blanks
+    candidates, unify = _match_candidates(result.closure, result._index)
+    sigma = solve(list(h), candidates, unify, budget if blanks else None)
+    if sigma is None:
+        return EntailmentReport(holds=False, missing=tuple(t for t in h if not candidates(t, {})))
+    mu = VariableMap.of({v: sigma[v] for v in blanks})
     proof = extract_proof(h, mu, result) if with_proof else None
-    return EntailmentReport(holds=True, map=mu, proof=proof)
+    return EntailmentReport(holds=True, map=mu if blanks else None, proof=proof)

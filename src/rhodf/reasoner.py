@@ -49,7 +49,10 @@ when 2b does; they still count in the stats, with 0.
 
 The closure keeps the rule and premise triples of each derived triple,
 and :attr:`ClosureResult.provenance` builds a :class:`ProofStep` from
-each when it is first read.
+each when it is first read.  It also keeps the engine's index and term
+table, which :func:`~rhodf.entailment.entails` and
+:func:`~rhodf.semantics.canonical_model` read instead of encoding the
+closure again.
 
 Each mirrored pair of rules comes from one matcher factory, closed over
 a predicate id or a triple position (2 = object, 0 = subject); rules 2b
@@ -90,6 +93,7 @@ from .core import (
     Term,
     Triple,
     VariableMap,
+    _trusted_graph,
     _trusted_triple,
     try_negate,
 )
@@ -228,9 +232,11 @@ class ClosureResult(Record):
     ``None`` for it and, as ``_steps``, the ``(rule, premises)`` of each
     derived triple in closure order: the mapping is then built on first
     read, so a caller that never reads it never builds its steps.
+    ``_index`` is the engine's :class:`TripleIndex` of the closure, with
+    its :class:`TermTable`, or ``None``; like ``_steps``, it is not a field.
     """
 
-    __slots__ = ("closure", "provenance", "class_terms", "property_terms", "stats", "_steps")
+    __slots__ = ("closure", "provenance", "class_terms", "property_terms", "stats", "_steps", "_index")
 
     def __init__(
         self,
@@ -240,9 +246,11 @@ class ClosureResult(Record):
         property_terms: FrozenSet[Term],
         stats: ClosureStats,
         _steps: Sequence[Tuple[RuleId, Tuple[Triple, ...]]] = (),
+        _index: Optional[TripleIndex] = None,
     ) -> None:
         self._init(closure, provenance, class_terms, property_terms, stats)
         object.__setattr__(self, "_steps", _steps)
+        object.__setattr__(self, "_index", _index)
         if provenance is None:
             object.__delattr__(self, "provenance")
 
@@ -353,8 +361,8 @@ class TripleIndex:
     the subproperty statements of ``x`` and ``by_po[(_TYPE, c)]`` the
     typings into ``c``.  ``star_by_sub[pos][c]`` lists the triples with
     a star over ``c`` at position ``pos``, 2 for the object and 0 for
-    the subject.  The closure engine and the witness search share this
-    class; neither keeps a :class:`Triple` in it.
+    the subject.  It keeps no :class:`Triple`.  :class:`ClosureResult`
+    keeps the engine's; :func:`~rhodf.entailment.find_map` builds one.
 
     ``root_by_pred``, ``root_by_po`` and ``root_by_sp`` are keyed as
     their full twins and list the roots given to :meth:`add_root`, in
@@ -976,14 +984,14 @@ def closure(
     start = time.perf_counter()
     engine = _Engine(g, rule_ids, cap)
     iterations = engine.run()
-    order = list(engine.triples.values())
-    # Free the id dict and index before the Graph builds its own set,
-    # so they stay out of the peak memory.
-    engine.triples = engine.index = None
+    order = tuple(engine.triples.values())
+    # Free the id dict before the Graph builds its set, so that it stays
+    # out of the peak memory; the index stays on the result.
+    engine.triples = None
     elapsed = time.perf_counter() - start
     domains = engine.recognized()
     return ClosureResult(
-        closure=Graph(order),
+        closure=_trusted_graph(order),
         provenance=None,
         class_terms=domains.class_terms,
         property_terms=domains.property_terms,
@@ -997,6 +1005,7 @@ def closure(
             rule_candidates=dict(engine.candidates),
         ),
         _steps=engine.steps,
+        _index=engine.index,
     )
 
 

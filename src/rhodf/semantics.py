@@ -98,7 +98,6 @@ from .core import (
     Star,
     Term,
     Triple,
-    try_negate,
 )
 from .entailment import solve
 from .parser import _Memo, parse_term, serialize_term
@@ -173,9 +172,9 @@ class Interpretation(Record):
 
 
 def _frozen(
-    domains: Sequence[Set[Element]],
-    ext_p_pos: Dict[Element, Set[Pair]],
-    ext_c_pos: Dict[Element, Set[Element]],
+    domains: Sequence[Iterable[Element]],
+    ext_p_pos: Mapping[Element, Iterable[Pair]],
+    ext_c_pos: Mapping[Element, Iterable[Element]],
     complement: Dict[Element, Element],
     denote: Dict[Term, Element],
 ) -> Interpretation:
@@ -230,7 +229,9 @@ def canonical_model(g: Graph, cap: Optional[int] = None) -> "Interpretation":
     extensions hold the closure's triples, with star positions left
     out of the pair extensions.  One pass along ``sp`` then gives each
     blank or literal below a subproperty pair the pairs that no triple
-    can record for it; see the module docstring.
+    can record for it; see the module docstring.  All of it is read off
+    the closure's own index, with star positions and complements from
+    its term table.
 
     The model is a countermodel for ground star-free queries: a valid
     star-free, blank-free triple over the closure's terms holds in it
@@ -238,47 +239,32 @@ def canonical_model(g: Graph, cap: Optional[int] = None) -> "Interpretation":
     ``a p *c`` holds vacuously when ``c`` has no members, derived or not.
     """
     result = closure(g, "full", cap=cap)
-    cl = result.closure
-    delta_p: Set[Element] = set(result.property_terms)
-    delta_c: Set[Element] = set(result.class_terms)
-    delta_r: Set[Element] = set(delta_c)
-    ext_p_pos: Dict[Element, Set[Pair]] = {}
-    ext_c_pos: Dict[Element, Set[Element]] = {}
-    for t in cl:
-        for x in (t.s, t.o):
-            if isinstance(x, Star):
-                delta_r.add(x.cls)
-            else:
-                delta_r.add(x)
-        if not isinstance(t.s, Star) and not isinstance(t.o, Star):
-            ext_p_pos.setdefault(t.p, set()).add((t.s, t.o))
-        if t.p == TYPE:
-            ext_c_pos.setdefault(t.o, set()).add(t.s)
+    ix = result._index
+    ids, terms, neg, sub, pred = ix.table.ids, ix.table.terms, ix.table.neg, ix.table.sub, ix.table.pred
+    sp, typ = ids[SP], ids[TYPE]
+    ext_p_pos: Dict[Element, FrozenSet[Pair]] = {}
+    for p, ts in ix.by_pred.items():
+        pairs = frozenset([(terms[s], terms[o]) for s, _, o in ts if sub[s] < 0 and sub[o] < 0])
+        if pairs:
+            ext_p_pos[terms[p]] = pairs
+    ext_c_pos = {terms[c]: frozenset([terms[x] for x, _, _ in ts]) for (p, c), ts in ix.by_po.items() if p == typ}
     # Only an Iri or a Neg can be a predicate, so the closure gives a blank
     # or a literal no pairs.  Rule 2a makes sp transitive, so one pass
     # reaches each such element from every predicate below it.
-    for p, q in ext_p_pos.get(SP, ()):
-        prs = ext_p_pos.get(p)
-        if prs and isinstance(q, (Blank, Literal)):
-            ext_p_pos.setdefault(q, set()).update(prs)
-    complement: Dict[Element, Element] = {}
-    for el in set(delta_r) | delta_p | delta_c:
-        mate = try_negate(el) if isinstance(el, Term) else None
-        if mate is not None:
-            complement[el] = mate
-            complement[mate] = el
-    for el in list(delta_r):
-        mate = complement.get(el)
-        if mate is not None:
-            delta_r.add(mate)
-    delta_l = {el for el in delta_r if isinstance(el, Literal)}
-    denote: Dict[Term, Element] = {}
-    for el in delta_r | delta_p | delta_c:
-        if isinstance(el, Term):
-            denote[el] = el
-    for v in RESERVED_VOCAB:
-        denote[v] = v
-    return _frozen((delta_r, delta_p, delta_c, delta_l), ext_p_pos, ext_c_pos, complement, denote)
+    for p, _, q in ix.by_pred.get(sp, ()):
+        prs = ext_p_pos.get(terms[p])
+        if prs and not pred[q]:
+            ext_p_pos[terms[q]] = ext_p_pos.get(terms[q], _EMPTY_PAIRS) | prs
+    # Subjects and objects, a star replaced by its subscript, and their
+    # complements; the class terms are among them.
+    resources = {sub[x] if sub[x] >= 0 else x for x in [s for s, _ in ix.by_sp] + [o for _, o in ix.by_po]}
+    resources.update([neg[x] for x in resources if neg[x] >= 0])
+    elements = resources | {ids[p] for p in result.property_terms}
+    complement = {terms[x]: terms[neg[x]] for x in elements if neg[x] >= 0}
+    delta_r = [terms[x] for x in resources]
+    delta_l = [el for el in delta_r if isinstance(el, Literal)]
+    denote = {terms[x]: terms[x] for x in elements}
+    return _frozen((delta_r, result.property_terms, result.class_terms, delta_l), ext_p_pos, ext_c_pos, complement, denote)
 
 
 # ---------------------------------------------------------------------------

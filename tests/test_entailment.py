@@ -27,6 +27,7 @@ from rhodf import (
     try_triple,
 )
 from rhodf.entailment import _match_candidates, solve
+from rhodf.reasoner import TermTable
 from rhodf.semantics import _holding_assignments, _take
 
 seeds = st.integers(min_value=0, max_value=10_000)
@@ -69,7 +70,7 @@ class TestGoldenJudgments:
 
 
 class TestEntailsInterface:
-    def test_fast_path_agrees_with_search_on_ground_queries(self, medical_negative):
+    def test_ground_queries_agree_with_find_map_and_closure_membership(self, medical_negative):
         cl = closure(medical_negative).closure
         for t in (
             Triple(Iri("morphine"), TYPE, Iri("drugTreatment")),
@@ -78,6 +79,26 @@ class TestEntailsInterface:
             h = Graph([t])
             assert entails(medical_negative, h).holds is (t in cl)
             assert (find_map(h, cl) is not None) is (t in cl)
+
+    def test_one_term_table_per_call(self, medical_negative, monkeypatch):
+        # The witness search reads the closure engine's own table and
+        # index, for ground and blank queries alike.
+        built = []
+        init = TermTable.__init__
+
+        def counting(table):
+            built.append(table)
+            init(table)
+
+        monkeypatch.setattr(TermTable, "__init__", counting)
+        for h in (
+            Graph([Triple(Iri("morphine"), TYPE, Iri("drugTreatment"))]),
+            Graph([Triple(Iri("brainTumour"), Iri("hasTreatment"), X), Triple(X, TYPE, Neg(Iri("antipyretic")))]),
+            Graph([Triple(X, TYPE, Iri("nothing"))]),
+        ):
+            built.clear()
+            entails(medical_negative, h, with_proof=True)
+            assert len(built) == 1
 
     def test_map_is_reported_only_for_blank_queries(self, medical_negative):
         ground = Graph([Triple(Iri("morphine"), TYPE, Iri("opioid"))])

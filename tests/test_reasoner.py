@@ -236,6 +236,18 @@ class TestProvenance:
         assert twin == result
         assert twin.provenance == first
 
+    def test_result_keeps_the_engine_index_outside_its_fields(self):
+        g = parse_graph("a sp b .\nb sp c .\nx a *k .\ny type k .\n")
+        result = closure(g)
+        ix = result._index
+        terms = ix.table.terms
+        indexed = [Triple(*map(terms.__getitem__, key)) for keys in ix.by_pred.values() for key in keys]
+        assert sorted(indexed, key=serialize_triple) == sorted(result.closure, key=serialize_triple)
+        assert Graph(result.closure.triples()).triples() == result.closure.triples()
+        assert "_index" not in repr(result)
+        twin = pickle.loads(pickle.dumps(result))
+        assert twin == result and twin._index is None
+
 
 class TestInstantiate:
     def test_map_rules_are_not_closure_rules(self):
