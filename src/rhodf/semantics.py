@@ -1,5 +1,10 @@
 """Four-valued interpretations, canonical models and model checking.
 
+Every element of an interpretation is a term: an ``Iri``, a ``Neg``, a
+``Literal`` or a ``Blank``, in a canonical model and in a loaded
+fixture alike, so a dump writes each element in term syntax and the
+fixture reader reads it back with the term parser.
+
 An interpretation keeps positive extensions explicitly and derives the
 negative extension of an element from the positive extension of its
 complement.  The complement map is partial and involutive: elements
@@ -91,7 +96,6 @@ from .core import (
     TYPE,
     Blank,
     Graph,
-    Iri,
     Literal,
     Neg,
     Record,
@@ -103,7 +107,7 @@ from .entailment import solve
 from .parser import _Memo, parse_term, serialize_term
 from .reasoner import _closure as closure
 
-Element = Hashable
+Element = Term
 Pair = Tuple[Element, Element]
 
 _EMPTY_PAIRS: FrozenSet[Pair] = frozenset()
@@ -132,8 +136,9 @@ class SatisfactionReport(Record):
 class Interpretation(Record):
     """A four-valued interpretation.
 
-    ``ext_p_pos`` and ``ext_c_pos`` store positive extensions sparsely;
-    elements without an entry have empty extensions.  Negative
+    Elements are terms (``Element = Term``), and ``denote`` maps terms
+    to them.  ``ext_p_pos`` and ``ext_c_pos`` store positive extensions
+    sparsely; elements without an entry have empty extensions.  Negative
     extensions are not stored: they are read off the complement map,
     so ``neg_pairs(p)`` is the positive extension of ``p``'s complement
     when one is registered and, as no element is ``None``, empty
@@ -197,22 +202,11 @@ def project(pairs: Iterable[Pair], side: str) -> FrozenSet[Element]:
     raise ValueError(f"unknown projection side {side!r}")
 
 
-def _fmt(el: Element) -> str:
-    if isinstance(el, Term):
-        return serialize_term(el)
-    return str(el)
+_fmt = serialize_term
 
 
 def _fmt_pair(pair: Pair) -> str:
     return f"({_fmt(pair[0])}, {_fmt(pair[1])})"
-
-
-def _is_negative_element(el: Element) -> bool:
-    # Complement-introducing conditions bind only at elements that are not
-    # already negations; the calculus mirrors them with the same restriction.
-    if isinstance(el, Neg):
-        return True
-    return isinstance(el, str) and el.startswith("!")
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +298,7 @@ def _structural_violations(i: Interpretation) -> List[Violation]:
             out.append(Violation("Interpretation.Denotation.Range", f"{serialize_term(t)} denotes {_fmt(el)} outside the domains"))
         if isinstance(t, Blank) and el not in i.delta_r:
             out.append(Violation("Interpretation.Denotation.Blank", f"blank {serialize_term(t)} denotes a non-resource"))
-        if isinstance(t, Literal) and el not in (t, t.lexical):
+        if isinstance(t, Literal) and el != t:
             out.append(Violation("Interpretation.Denotation.Literal", f"literal {serialize_term(t)} does not denote itself"))
         if isinstance(t, Neg):
             base = i.denote.get(t.base)
@@ -363,7 +357,9 @@ def _global_violations(i: Interpretation) -> List[Violation]:
                 continue
             for x in ext(p) - ext(q):
                 out.append(Violation(f"{name}.2", f"{entry(x)} of {_fmt(p)} is missing from {_fmt(q)}"))
-            if _is_negative_element(p) or _is_negative_element(q):
+            # Conditions that introduce complements bind only at elements
+            # that are not negations already, as the closure rules do.
+            if isinstance(p, Neg) or isinstance(q, Neg):
                 continue
             cp, cq = i.complement.get(p), i.complement.get(q)
             if cp is not None and cq is not None and (cq, cp) not in rel:
@@ -470,13 +466,13 @@ def _global_violations(i: Interpretation) -> List[Violation]:
     # Disjointness II.3 over cdisj and sc, II.4 over pdisj and sp.
     for cond, disj, sub in (("Disjointness II.3", botc_p, sc_p), ("Disjointness II.4", botp_p, sp_p)):
         for c, d in disj:
-            if _is_negative_element(d):
+            if isinstance(d, Neg):
                 continue
             cd = i.complement.get(d)
             if cd is not None and (c, cd) not in sub:
                 out.append(Violation(cond, f"{_fmt_pair((c, d))} disjoint but {_fmt(c)} not below complement {_fmt(cd)}"))
         for c, e in sub:
-            if _is_negative_element(e):
+            if isinstance(e, Neg):
                 continue
             ce = i.complement.get(e)
             if ce is not None and (c, ce) not in disj:
@@ -602,43 +598,32 @@ def check_model(i: Interpretation, g: Graph) -> SatisfactionReport:
     return SatisfactionReport(satisfied=not violations, violations=tuple(violations))
 
 
-# The elements the reserved vocabulary denotes by default: itself in a
-# canonical model, its name in a loaded fixture.
-_VOCAB_ELEMENTS = RESERVED_VOCAB | {v.name for v in RESERVED_VOCAB}
-
-
 def serialize_interpretation(i: Interpretation) -> str:
     """Fixture-format dump of an interpretation, sorted for stability.
 
-    Elements that are terms are written in term syntax, so complements
-    come out with their ``!`` prefix and round-trip as complement
-    partners.  Reserved vocabulary terms that denote themselves are
-    left implicit.
+    Every field is an element written in term syntax, so complements
+    come out with their ``!`` prefix and reload as complement partners.
+    Reserved names in the property domain and terms that denote
+    themselves are left implicit: only a term with another denotation
+    gets an ``I`` line.
     """
     lines: List[str] = []
-    # Each element is formatted once: ``text`` is the sort key, ``field``
-    # what is written.
-    text = _Memo(_fmt)
-    field = _Memo(lambda el: _field(el, i.complement))
+    # Each element is serialized once, both as the sort key and as the field.
+    text = _Memo(serialize_term)
 
     plain_r = i.delta_r - i.delta_c - i.delta_l
-    for directive, dom in (("R", plain_r), ("P", i.delta_p - _VOCAB_ELEMENTS), ("C", i.delta_c), ("L", i.delta_l)):
+    for directive, dom in (("R", plain_r), ("P", i.delta_p - RESERVED_VOCAB), ("C", i.delta_c), ("L", i.delta_l)):
         for el in sorted(dom, key=text.__getitem__):
-            lines.append(f"{directive} {field[el]}")
+            lines.append(f"{directive} {text[el]}")
     for p in sorted(i.ext_p_pos, key=text.__getitem__):
         for s, o in sorted(i.ext_p_pos[p], key=lambda pr: (text[pr[0]], text[pr[1]])):
-            lines.append(f"P+ {field[p]} {field[s]} {field[o]}")
+            lines.append(f"P+ {text[p]} {text[s]} {text[o]}")
     for c in sorted(i.ext_c_pos, key=text.__getitem__):
         for x in sorted(i.ext_c_pos[c], key=text.__getitem__):
-            lines.append(f"C+ {field[c]} {field[x]}")
+            lines.append(f"C+ {text[c]} {text[x]}")
     for t in sorted(i.denote, key=text.__getitem__):
-        el = i.denote[t]
-        if isinstance(el, Term) and el == t:
-            continue
-        if isinstance(el, str):
-            if el == text[t] or (isinstance(t, Literal) and el == t.lexical):
-                continue
-        lines.append(f"I {text[t]} {field[el]}")
+        if i.denote[t] != t:
+            lines.append(f"I {text[t]} {text[i.denote[t]]}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -651,42 +636,6 @@ def serialize_interpretation(i: Interpretation) -> str:
 # else a run of characters up to a space or a ``#``; a ``#`` that starts
 # a field starts a comment.
 _FIELD = re.compile(r'#.*|([!*]*(?:<[^>]*>|"(?:[^"\\]|\\.)*"|[^\s#]+))')
-_LITERAL_ESCAPE = re.compile(r"\\(.)")
-
-# A string element written as it is must be one field on any line and read
-# back as itself: at most one leading ``!``, then a whole ``<...>`` or a
-# base that cannot open a bracketed, quoted or prefixed field.  A leading
-# ``!`` outside the quotes also makes the element a complement partner.
-_PLAIN = re.compile(r'!?(?:\*[!*]*)?(?:<[^>]*>|[^\s#"<!*][^\s#]*)')
-_QUOTE = re.compile(r'["\\]')
-
-
-def _field(el: Element, complement: Mapping[Element, Element]) -> str:
-    """``el`` as one fixture field that :func:`_element` reads back as
-    ``el``, and as a complement partner just when it is one."""
-    if not isinstance(el, str):
-        return _fmt(el)
-    bang = "!" if el.startswith("!") and complement.get(el) == el[1:] else ""
-    if _PLAIN.fullmatch(el) and el.startswith("!") == bool(bang):
-        return el
-    # Without a ``!`` the quotes would make a literal; ``!!`` cancels out.
-    return (bang or "!!") + '"' + _QUOTE.sub(r"\\\g<0>", el[len(bang) :]) + '"'
-
-
-def _element(token: str) -> Element:
-    bangs = 0
-    while bangs < len(token) and token[bangs] == "!":
-        bangs += 1
-    base = token[bangs:]
-    if len(base) >= 2 and base[0] == '"' and base[-1] == '"':
-        base = _LITERAL_ESCAPE.sub(r"\1", base[1:-1])
-        # A quoted field is a literal, as in a canonical model; with a
-        # ``!`` prefix it is a string, as literals have no complement.
-        if not bangs:
-            return Literal(base)
-    elif not base:
-        raise ValueError("empty element name")
-    return base if bangs % 2 == 0 else "!" + base
 
 
 def load_interpretation(text: str) -> Interpretation:
@@ -694,16 +643,22 @@ def load_interpretation(text: str) -> Interpretation:
 
     Directives: ``R e``, ``P p``, ``C c``, ``L e`` declare domain
     elements; ``P+ p s o`` and ``C+ c x`` add extension entries and
-    register their elements; ``I term e`` sets a denotation.  An
-    element written with a ``!`` prefix is the complement partner of
-    the bare name, and domains are closed over registered complements.
-    A quoted element is a :class:`~rhodf.core.Literal`, as in a
-    canonical model, and the literal term denotes it by default; with
-    ``!`` prefixes, a quoted name is a string, as an unquoted one is.
-    Reserved vocabulary terms denote themselves unless overridden, and
-    every registered element also becomes the denotation of the
-    same-named term unless an ``I`` line says otherwise, so a dumped
-    interpretation can be checked against its graph directly.
+    register their elements; ``I term e`` sets a denotation.  Every
+    field is read as a term by :func:`~rhodf.parser.parse_term`, and
+    every element is that term: ``c`` is an
+    :class:`~rhodf.core.Iri`, ``"v"`` a :class:`~rhodf.core.Literal`,
+    ``_:b`` a :class:`~rhodf.core.Blank`, and ``!c`` a
+    :class:`~rhodf.core.Neg` that makes ``c`` and ``!c`` complement
+    partners.  Domains are closed over registered complements.  A field
+    that cannot be an element, a star or a ``!`` before a reserved name,
+    a blank or a literal, is an error naming its line.
+
+    The reserved names denote themselves, and so does every element
+    that is not a blank, unless an ``I`` line says otherwise, so a
+    dumped interpretation can be checked against its graph directly.  A
+    literal term denotes its own literal element, never a bare name
+    with the same text, and no element is a string: ``!"..."`` fields
+    are errors.
     """
     delta_r: Set[Element] = set()
     delta_p: Set[Element] = set()
@@ -717,15 +672,19 @@ def load_interpretation(text: str) -> Interpretation:
     # literal joins.
     declared = {"R": (delta_r,), "P": (delta_p,), "C": (delta_c, delta_r), "L": (delta_l, delta_r)}
 
-    def element(token: str, lineno: int, kind: str = "") -> Element:
+    def term(token: str, lineno: int) -> Term:
         try:
-            el = _element(token)
+            return parse_term(token)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-        # Only the prefixes outside the quotes negate: "!x" is a literal.
-        if (len(token) - len(token.lstrip("!"))) % 2:
-            complement[el] = el[1:]
-            complement[el[1:]] = el
+
+    def element(token: str, lineno: int, kind: str = "") -> Element:
+        el = term(token, lineno)
+        if isinstance(el, Star):
+            raise ValueError(f"line {lineno}: star term {token!r} is not an element")
+        if isinstance(el, Neg):
+            complement[el] = el.base
+            complement[el.base] = el
         for dom in declared.get(kind, ()):
             dom.add(el)
         return el
@@ -744,12 +703,8 @@ def load_interpretation(text: str) -> Interpretation:
             c, x = element(args[0], lineno, "C"), element(args[1], lineno, "R")
             ext_c_pos.setdefault(c, set()).add(x)
         elif directive == "I" and len(args) == 2:
-            try:
-                term = parse_term(args[0])
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-            el = element(args[1], lineno)
-            denote[term] = el
+            t, el = term(args[0], lineno), element(args[1], lineno)
+            denote[t] = el
             if el not in delta_p:
                 delta_r.add(el)
         else:
@@ -760,22 +715,8 @@ def load_interpretation(text: str) -> Interpretation:
             mate = complement.get(el)
             if mate is not None:
                 dom.add(mate)
-    for v in RESERVED_VOCAB:
-        if v not in denote:
-            denote[v] = v.name
-            delta_p.add(v.name)
-    elements = delta_r | delta_p | delta_c | delta_l
-    for el in elements:
-        if isinstance(el, Literal) and el not in denote:
-            denote[el] = el
-    for el in sorted(el for el in elements if isinstance(el, str)):
-        lit = Literal(el)
-        if lit not in denote:
-            denote[lit] = el
-        try:
-            term = parse_term(el)
-        except ValueError:
-            continue
-        if isinstance(term, (Iri, Neg)) and term not in denote:
-            denote[term] = el
+    delta_p.update(RESERVED_VOCAB - denote.keys())
+    for el in itertools.chain(delta_r, delta_p, delta_c, delta_l):
+        if not isinstance(el, Blank):
+            denote.setdefault(el, el)
     return _frozen((delta_r, delta_p, delta_c, delta_l), ext_p_pos, ext_c_pos, complement, denote)
