@@ -19,8 +19,7 @@ _HOMES = {
     "Neg Star Term Triple VariableMap apply_map is_negatable is_reserved negate try_negate try_triple validate_triple",
     "parser": "GraphParseError ParseError SourceSpan parse_graph parse_graph_lenient parse_term serialize_graph serialize_term "
     "serialize_triple",
-    "reasoner": "FULL_RULE_IDS RDF_RULE_IDS ClosureCapError ClosureResult ClosureStats Domains ProofStep RuleId closure "
-    "default_cap instantiate",
+    "reasoner": "FULL_RULE_IDS RDF_RULE_IDS ClosureCapError ClosureResult ClosureStats ProofStep RuleId closure default_cap",
     "entailment": "EntailmentReport SearchBudgetExceeded entails extract_proof find_map",
     "semantics": "Interpretation SatisfactionReport Violation canonical_model check_model load_interpretation project "
     "serialize_interpretation",

@@ -16,8 +16,7 @@ The closure engine is a deterministic semi-naive fixpoint: each round
 only matches instantiations touching triples derived in the previous
 round, rules fire in ascending :class:`RuleId` order, and triples keep
 first-insertion order.  The first derivation of every new triple is
-recorded for proof extraction.  :func:`instantiate` runs the first round
-of an engine on its graph.
+recorded for proof extraction.
 
 Rules join over integers.  A :class:`TermTable` gives every term a dense
 id and answers, per id, what the rules ask of a term: its complement,
@@ -193,15 +192,6 @@ class ProofStep(Record):
 
     def _fields(self) -> tuple:
         return (self.rule, self.premises, self.conclusion, self.map, self.targets)
-
-
-class Domains(Record):
-    """Class and property terms recognized in a graph."""
-
-    __slots__ = ("class_terms", "property_terms")
-
-    def __init__(self, class_terms: FrozenSet[Term], property_terms: FrozenSet[Term]) -> None:
-        self._init(class_terms, property_terms)
 
 
 class ClosureStats(Record):
@@ -857,22 +847,13 @@ class _Engine:
             self.domains[q] |= xs
         return found
 
-    def start_round(
-        self, delta: Optional[List[IdTriple]] = None, roots: Sequence[IdTriple] = (), given: Optional[Domains] = None
-    ) -> Tuple[_Delta, _RoundContext]:
+    def start_round(self, delta: List[IdTriple], roots: Sequence[IdTriple]) -> Tuple[_Delta, _RoundContext]:
         """The buckets and context of the round over ``delta``, installed
-        last, with its ``roots``; by default the first round, over the
-        input, all of it roots.  The terms the delta names join the
-        domains, unless ``given`` replaces those."""
-        if delta is None:
-            delta = roots = list(self.triples)
+        last, with its ``roots``.  The terms the delta names join the
+        domains."""
         table = self.table
         dx = _Delta(delta, roots, table)
-        if given is None:
-            new = self._recognize(dx)
-        else:
-            intern = table.intern
-            new = self.domains = {_BOTC: set(map(intern, given.class_terms)), _BOTP: set(map(intern, given.property_terms))}
+        new = self._recognize(dx)
         now: Dict[int, Sequence[int]] = {}
         fresh: Dict[int, Sequence[int]] = {}
         for q, found in self.self_disjoint.items():
@@ -892,10 +873,6 @@ class _Engine:
             self_delta={q: s[old[q] :] for q, s in self.self_disjoint.items()},
             self_old={q: s[: old[q]] for q, s in self.self_disjoint.items()},
         )
-
-    def recognized(self) -> Domains:
-        terms = self.table.terms
-        return Domains(*(frozenset([terms[x] for x in self.domains[q]]) for q in (_BOTC, _BOTP)))
 
     def run(self) -> int:
         triples, steps = self.triples, self.steps
@@ -934,31 +911,6 @@ class _Engine:
 # ---------------------------------------------------------------------------
 
 
-def instantiate(rule: RuleId, g: Graph, domains: Optional[Domains] = None) -> List[ProofStep]:
-    """All applications of ``rule`` to ``g`` that derive something new.
-
-    Premises are drawn from ``g``; instantiations whose conclusion is
-    invalid or already present are dropped.  ``domains`` feeds the free
-    variable of rules 6c/7c and defaults to the class and property terms
-    ``g`` itself names, those ``closure(g, rule_ids=frozenset())``
-    reports.
-    """
-    if rule in (RuleId.R1A, RuleId.R1B):
-        raise ValueError(f"rule {rule} is not a closure rule")
-    engine = _Engine(g, frozenset(), len(g))
-    dx, ctx = engine.start_round(given=domains)
-    table, triples, terms = engine.table, engine.triples, engine.table.terms
-    steps: List[ProofStep] = []
-    seen: Set[Tuple[Tuple[IdTriple, ...], IdTriple]] = set()
-    for premises, key in _MATCHERS[rule](engine.index, dx, ctx):
-        if key in triples or not table.valid(*key) or (premises, key) in seen:
-            continue
-        seen.add((premises, key))
-        conclusion = _trusted_triple(terms[key[0]], terms[key[1]], terms[key[2]])
-        steps.append(ProofStep(rule, tuple(triples[k] for k in premises), conclusion))
-    return steps
-
-
 def closure(
     g: Graph,
     mode: str = "full",
@@ -989,12 +941,12 @@ def closure(
     # out of the peak memory; the index stays on the result.
     engine.triples = None
     elapsed = time.perf_counter() - start
-    domains = engine.recognized()
+    terms = engine.table.terms
     return ClosureResult(
         closure=_trusted_graph(order),
         provenance=None,
-        class_terms=domains.class_terms,
-        property_terms=domains.property_terms,
+        class_terms=frozenset([terms[x] for x in engine.domains[_BOTC]]),
+        property_terms=frozenset([terms[x] for x in engine.domains[_BOTP]]),
         stats=ClosureStats(
             iterations=iterations,
             rule_fire_counts=dict(engine.fires),

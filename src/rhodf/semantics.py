@@ -603,16 +603,17 @@ def serialize_interpretation(i: Interpretation) -> str:
 
     Every field is an element written in term syntax, so complements
     come out with their ``!`` prefix and reload as complement partners.
-    Reserved names in the property domain and terms that denote
-    themselves are left implicit: only a term with another denotation
-    gets an ``I`` line.
+    A reserved name in the property domain gets no ``P`` line while it
+    denotes itself, and only a term with another denotation gets an
+    ``I`` line.
     """
     lines: List[str] = []
     # Each element is serialized once, both as the sort key and as the field.
     text = _Memo(serialize_term)
 
     plain_r = i.delta_r - i.delta_c - i.delta_l
-    for directive, dom in (("R", plain_r), ("P", i.delta_p - RESERVED_VOCAB), ("C", i.delta_c), ("L", i.delta_l)):
+    implicit_p = {v for v in RESERVED_VOCAB if i.denote.get(v) == v}
+    for directive, dom in (("R", plain_r), ("P", i.delta_p - implicit_p), ("C", i.delta_c), ("L", i.delta_l)):
         for el in sorted(dom, key=text.__getitem__):
             lines.append(f"{directive} {text[el]}")
     for p in sorted(i.ext_p_pos, key=text.__getitem__):

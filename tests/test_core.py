@@ -16,7 +16,6 @@ from rhodf import (
     Blank,
     ClosureResult,
     ClosureStats,
-    Domains,
     EntailmentReport,
     Graph,
     Interpretation,
@@ -224,7 +223,6 @@ RECORDS = [
         "ProofStep(rule=<RuleId.R1B: '1b'>, premises=(), conclusion=Triple(s=Iri(name='a'), p=Iri(name='sp'), o=Iri(name='b')), "
         "map=None, targets=())",
     ),
-    (Domains, (frozenset({A}), frozenset()), "Domains(class_terms=frozenset({Iri(name='a')}), property_terms=frozenset())"),
     (
         ClosureStats,
         (2, {"2a": 1}, 3, 4, 0.5, (1, 0), {"2a": 2}),

@@ -354,7 +354,11 @@ class TestInterpretationFixtures:
     def test_serialize_then_load_is_stable(self, medical_text, medical_negative_text):
         """Reloading a dump gives back the canonical model in every
         field, except that blanks get no denotation, and a reloaded dump
-        is a fixed point."""
+        is a fixed point.  A reserved name that is a property element
+        but denotes another element stays in the property domain."""
+        renamed = load_interpretation("P sp\nR e\nI sp e\n")
+        assert SP in renamed.delta_p
+        assert load_interpretation(serialize_interpretation(renamed)) == renamed
         texts = [medical_text, medical_negative_text, 'x p "!x" .'] + [f"s p {obj} ." for obj in DUMPED_OBJECTS]
         graphs = [parse_graph(text) for text in texts] + [cubic(n) for n in range(1, 7)] + [spchain(16)]
         graphs += [random_graph(seed=seed, salt_contradiction=seed % 4 == 0) for seed in range(300)]
