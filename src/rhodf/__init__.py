@@ -15,8 +15,8 @@ import importlib
 # (PEP 562), so importing the package or one of its modules compiles
 # only what is used.
 _HOMES = {
-    "core": "BOTC BOTP DOM EMPTY_GRAPH PLAIN_VOCAB RANGE RESERVED_VOCAB SC SP TYPE Blank Graph InvalidTripleError Iri Literal "
-    "Neg Star Term Triple VariableMap apply_map is_negatable is_reserved negate try_negate try_triple validate_triple",
+    "core": "BOTC BOTP DOM PLAIN_VOCAB RANGE RESERVED_VOCAB SC SP TYPE Blank Graph InvalidTripleError Iri Literal "
+    "Neg Star Term Triple VariableMap apply_map is_reserved negate try_negate try_triple validate_triple",
     "parser": "GraphParseError ParseError SourceSpan parse_graph parse_graph_lenient parse_term serialize_graph serialize_term "
     "serialize_triple",
     "reasoner": "FULL_RULE_IDS RDF_RULE_IDS ClosureCapError ClosureResult ClosureStats ProofStep RuleId closure default_cap",

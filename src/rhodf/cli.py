@@ -7,12 +7,12 @@ a benchmark family, ``stats`` summarizes a closure run.
 A command loads only the modules it runs.  This module imports
 :mod:`~rhodf.core`, :mod:`~rhodf.parser` and :mod:`~rhodf.reasoner`,
 which ``close`` and ``stats`` need.  ``entail`` loads
-:mod:`~rhodf.entailment`, ``model`` loads :mod:`~rhodf.semantics` (and
-with it :mod:`~rhodf.entailment`), and ``gen`` loads
-:mod:`~rhodf.generators`, each when it runs.  The functions they use
-are attributes of this module all the same, resolved on first use, and
-the subcommands call them through this module's namespace, so a caller
-that replaces one here, as a tracer does, replaces what runs.
+:mod:`~rhodf.entailment`, ``model`` loads :mod:`~rhodf.semantics`, and
+``gen`` loads :mod:`~rhodf.generators`, each when it runs.  The
+functions they use are attributes of this module all the same,
+resolved on first use, and the subcommands call them through this
+module's namespace, so a caller that replaces one here, as a tracer
+does, replaces what runs.
 
 Exit codes: 0 success (and "holds" for entail), 1 judgment does not
 hold, 2 parse or usage error or an unreadable input file, 3 closure cap
@@ -84,19 +84,12 @@ def _load_graph(path: str) -> Graph:
         raise
 
 
-def _open_out(path: Optional[str]):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
-
-
 def _write(path: Optional[str], text: str) -> None:
-    out, close = _open_out(path)
-    try:
+    if path is None or path == "-":
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8") as out:
         out.write(text)
-    finally:
-        if close:
-            out.close()
 
 
 def _report_parse_errors(path: str, err: GraphParseError) -> None:

@@ -221,11 +221,6 @@ def is_reserved(t: Term) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def is_negatable(t: Term) -> bool:
-    """True when :func:`negate` accepts ``t`` (non-reserved IRIs and negations)."""
-    return isinstance(t, Neg) or (isinstance(t, Iri) and t.name not in _RESERVED_NAMES)
-
-
 def negate(t: Term) -> Term:
     """Return the complement of ``t``.
 
@@ -400,9 +395,6 @@ def _trusted_graph(triples: Iterable[Triple]) -> Graph:
     g._order = tuple(triples)
     g._set = frozenset(g._order)
     return g
-
-
-EMPTY_GRAPH = Graph()
 
 
 # ---------------------------------------------------------------------------

@@ -26,13 +26,16 @@ candidate is deduplicated and validated as such.  A :class:`Triple` is
 built only for a candidate that passes both, so once per closure
 triple, and it is not validated again.  The index keeps them by
 predicate, by subject and predicate, by predicate and object, and by
-star subscript; a round's delta by predicate and by star position.
+star subscript.  Each round is one record, its delta: the new triples
+by predicate and by star position, and what rules 6c/7c read.  Every
+matcher takes the index and the delta, ``(ix, dx)``, and reads the term
+table as ``ix.table``.
 
 Rules 6c/7c have a free conclusion variable, which ranges over the class
 and property terms recognized in the current partial closure: those
 that each round's delta names in the positions :data:`_RECOGNIZED`
-lists, as predicates and as star subscripts.  They are listed for 6c/7c
-only while a self-disjointness statement needs them.
+lists, as predicates and as star subscripts.  The round's delta lists
+them, sorted, only while a self-disjointness statement needs them.
 
 Rules 2b/3b lift instances up the ``sp``/``sc`` hierarchies and 6b/7b
 push disjointness down them, one hierarchy edge at a time.  While the
@@ -407,12 +410,17 @@ class TripleIndex:
 
 
 class _Delta:
-    """New triples in the buckets the matchers read from their delta
-    side: all of them, by predicate and by star position (2 = object,
-    0 = subject), and the roots among them, all and by predicate.  The
-    pair buckets of a full index would go unused here."""
+    """One round: its new triples in the buckets the matchers read from
+    their delta side, all of them, by predicate and by star position
+    (2 = object, 0 = subject), and the roots among them, all and by
+    predicate.  The pair buckets of a full index would go unused here.
 
-    __slots__ = ("all", "by_pred", "star", "roots", "root_by_pred")
+    The free-variable rules 6c/7c read the rest, each keyed by ``_BOTC``
+    or ``_BOTP``, which :meth:`_Engine.start_round` fills in: the class
+    or property ``terms``, the ``new_terms`` this round names, and the
+    self-disjointness statements of this round and of earlier rounds."""
+
+    __slots__ = ("all", "by_pred", "star", "roots", "root_by_pred", "terms", "new_terms", "self_delta", "self_old")
 
     def __init__(self, triples: List[IdTriple], roots: List[IdTriple], table: TermTable):
         self.all = triples
@@ -431,17 +439,22 @@ class _Delta:
             self.root_by_pred = {}
             for t in roots:
                 self.root_by_pred.setdefault(t[1], []).append(t)
+        self.terms: Dict[int, Sequence[int]] = {}
+        self.new_terms: Dict[int, Sequence[int]] = {}
+        self.self_delta: Dict[int, List[IdTriple]] = {}
+        self.self_old: Dict[int, List[IdTriple]] = {}
 
 
 # ---------------------------------------------------------------------------
 # Rule matchers
 # ---------------------------------------------------------------------------
 
-# Each matcher yields (premises, (s, p, o)) in ids for every
-# instantiation with at least one premise in the delta `dx`; the full
-# state is in `ix`.  Candidates are validated and deduplicated by the
-# caller, so listing one twice, as when the delta is the whole graph,
-# is harmless.  Loop order decides closure order and provenance.
+# Each matcher takes (ix, dx) and yields (premises, (s, p, o)) in ids
+# for every instantiation with at least one premise in the round's
+# delta `dx`; the full state, with the term table, is in `ix`.
+# Candidates are validated and deduplicated by the caller, so listing
+# one twice, as when the delta is the whole graph, is harmless.  Loop
+# order decides closure order and provenance.
 #
 # A mirrored family is one factory closed over a predicate id (sp or sc,
 # dom or range, cdisj or pdisj) or a triple position, 2 = object and
@@ -449,32 +462,13 @@ class _Delta:
 # typed term sits in the property's triple for the typing rules.
 
 _Candidate = Tuple[Tuple[IdTriple, ...], IdTriple]
-_Matcher = Callable[[TripleIndex, _Delta, "_RoundContext"], Iterator[_Candidate]]
-
-
-class _RoundContext(Record):
-    """The term table, and the state of the free-variable rules 6c/7c,
-    each keyed by ``_BOTC`` or ``_BOTP``: the class or property terms,
-    those new this round, and the self-disjointness statements of the
-    delta and of earlier rounds."""
-
-    __slots__ = ("table", "terms", "new_terms", "self_delta", "self_old")
-
-    def __init__(
-        self,
-        table: TermTable,
-        terms: Mapping[int, Sequence[int]],
-        new_terms: Mapping[int, Sequence[int]],
-        self_delta: Mapping[int, Sequence[IdTriple]],
-        self_old: Mapping[int, Sequence[IdTriple]],
-    ) -> None:
-        self._init(table, terms, new_terms, self_delta, self_old)
+_Matcher = Callable[[TripleIndex, _Delta], Iterator[_Candidate]]
 
 
 def _transitive(q: int) -> _Matcher:
     """2a, 3a: (A,q,B), (B,q,C) -> (A,q,C)."""
 
-    def match(ix, dx, ctx):
+    def match(ix, dx):
         for t1 in dx.by_pred.get(q, ()):
             for t2 in ix.by_sp.get((t1[2], q), ()):
                 yield (t1, t2), (t1[0], q, t2[2])
@@ -485,7 +479,7 @@ def _transitive(q: int) -> _Matcher:
     return match
 
 
-def _m_2b(ix, dx, ctx):
+def _m_2b(ix, dx):
     for t1 in dx.by_pred.get(_SP, ()):
         for t2 in ix.root_by_pred.get(t1[0], ()):
             yield (t1, t2), (t2[0], t1[2], t2[2])
@@ -494,7 +488,7 @@ def _m_2b(ix, dx, ctx):
             yield (t1, t2), (t2[0], t1[2], t2[2])
 
 
-def _m_3b(ix, dx, ctx):
+def _m_3b(ix, dx):
     for t1 in dx.by_pred.get(_SC, ()):
         for t2 in ix.root_by_po.get((_TYPE, t1[0]), ()):
             yield (t1, t2), (t2[0], _TYPE, t1[2])
@@ -506,8 +500,8 @@ def _m_3b(ix, dx, ctx):
 def _contrapositive(q: int) -> _Matcher:
     """2c, 3c: (A,q,B) -> (!B,q,!A) for plain resources A and B."""
 
-    def match(ix, dx, ctx):
-        fresh = ctx.table.fresh
+    def match(ix, dx):
+        fresh = ix.table.fresh
         for t in dx.by_pred.get(q, ()):
             nb, na = fresh[t[2]], fresh[t[0]]
             if nb >= 0 and na >= 0:
@@ -519,11 +513,11 @@ def _contrapositive(q: int) -> _Matcher:
 def _star_lift(pos: int) -> _Matcher:
     """2d, 2e: (A,D,B), (D,sp,E) -> (A,E,B) with a star at ``pos``."""
 
-    def match(ix, dx, ctx):
+    def match(ix, dx):
         for t1 in dx.star[pos]:
             for t2 in ix.by_sp.get((t1[1], _SP), ()):
                 yield (t1, t2), (t1[0], t2[2], t1[2])
-        sub = ctx.table.sub
+        sub = ix.table.sub
         for t2 in dx.by_pred.get(_SP, ()):
             for t1 in ix.by_pred.get(t2[0], ()):
                 if sub[t1[pos]] >= 0:
@@ -535,8 +529,8 @@ def _star_lift(pos: int) -> _Matcher:
 def _star_sc(pos: int) -> _Matcher:
     """3d, 3e: (C,sc,B) turns a star over B at ``pos`` into *C, as (A,D,*B) -> (A,D,*C)."""
 
-    def match(ix, dx, ctx):
-        star, sub = ctx.table.star, ctx.table.sub
+    def match(ix, dx):
+        star, sub = ix.table.star, ix.table.sub
         for t1 in dx.star[pos]:
             for t2 in ix.by_po.get((_SC, sub[t1[pos]]), ()):
                 st = star[t2[0]]
@@ -555,7 +549,7 @@ def _star_sc(pos: int) -> _Matcher:
 def _typing(q: int, pos: int) -> _Matcher:
     """4a, 4b: (D,q,B), (X,D,Y) -> (Z,type,B), Z at ``pos`` of (X,D,Y)."""
 
-    def match(ix, dx, ctx):
+    def match(ix, dx):
         for t1 in dx.by_pred.get(q, ()):
             for t2 in ix.by_pred.get(t1[0], ()):
                 yield (t1, t2), (t2[pos], _TYPE, t1[2])
@@ -569,8 +563,8 @@ def _typing(q: int, pos: int) -> _Matcher:
 def _neg_typing(q: int, pos: int) -> _Matcher:
     """4c, 4d: (D,q,B), (X,type,!B), (Z,D,Y) -> (X,!D,Y) or (Z,!D,X), X at ``pos``."""
 
-    def match(ix, dx, ctx):
-        neg = ctx.table.neg
+    def match(ix, dx):
+        neg = ix.table.neg
         for t1 in dx.by_pred.get(q, ()):
             nd, nb = neg[t1[0]], neg[t1[2]]
             if nd < 0 or nb < 0:
@@ -602,8 +596,8 @@ def _neg_typing(q: int, pos: int) -> _Matcher:
 def _star_type(pos: int) -> _Matcher:
     """4e, 4f: (X,type,C) puts X for a star over C at ``pos``, as (A,D,*C) -> (A,D,X)."""
 
-    def match(ix, dx, ctx):
-        sub = ctx.table.sub
+    def match(ix, dx):
+        sub = ix.table.sub
         for t1 in dx.star[pos]:
             for t2 in ix.by_po.get((_TYPE, sub[t1[pos]]), ()):
                 yield (t1, t2), ((t1[0], t1[1], t2[0]) if pos == 2 else (t2[0], t1[1], t1[2]))
@@ -618,8 +612,8 @@ def _star_type(pos: int) -> _Matcher:
 def _star_neg(pos: int) -> _Matcher:
     """4g: (A,D,*C), (A,!D,Y) -> (Y,type,!C); 4h: (*C,D,B), (X,!D,B) -> (X,type,!C)."""
 
-    def match(ix, dx, ctx):
-        neg, sub = ctx.table.neg, ctx.table.sub
+    def match(ix, dx):
+        neg, sub = ix.table.neg, ix.table.sub
         pairs = ix.by_sp if pos == 2 else ix.by_po
         for t1 in dx.star[pos]:
             nd = neg[t1[1]]
@@ -641,7 +635,7 @@ def _star_neg(pos: int) -> _Matcher:
 def _sp_typing(q: int, pos: int) -> _Matcher:
     """5a, 5b: (A,q,B), (D,sp,A), (X,D,Y) -> (Z,type,B), Z at ``pos`` of (X,D,Y)."""
 
-    def match(ix, dx, ctx):
+    def match(ix, dx):
         for t1 in dx.by_pred.get(q, ()):
             for t2 in ix.by_po.get((_SP, t1[0]), ()):
                 for t3 in ix.by_pred.get(t2[0], ()):
@@ -666,7 +660,7 @@ def _sp_typing(q: int, pos: int) -> _Matcher:
 def _symmetric(q: int) -> _Matcher:
     """6a, 7a: (A,q,B) -> (B,q,A)."""
 
-    def match(ix, dx, ctx):
+    def match(ix, dx):
         for t in dx.by_pred.get(q, ()):
             yield (t,), (t[2], q, t[0])
 
@@ -676,7 +670,7 @@ def _symmetric(q: int) -> _Matcher:
 def _disjoint_below(q: int, h: int) -> _Matcher:
     """6b, 7b: (A,q,B), (C,h,A) -> (C,q,B) for the hierarchy ``h`` below ``q``."""
 
-    def match(ix, dx, ctx):
+    def match(ix, dx):
         for t1 in dx.root_by_pred.get(q, ()):
             for t2 in ix.by_po.get((h, t1[0]), ()):
                 yield (t1, t2), (t2[0], q, t1[2])
@@ -690,12 +684,12 @@ def _disjoint_below(q: int, h: int) -> _Matcher:
 def _self_disjoint(q: int) -> _Matcher:
     """6c, 7c: (A,q,A) -> (A,q,B) for every class (cdisj) or property (pdisj) term B."""
 
-    def match(ix, dx, ctx):
-        for t in ctx.self_delta[q]:
-            for b in ctx.terms[q]:
+    def match(ix, dx):
+        for t in dx.self_delta[q]:
+            for b in dx.terms[q]:
                 yield (t,), (t[0], q, b)
-        for t in ctx.self_old[q]:
-            for b in ctx.new_terms[q]:
+        for t in dx.self_old[q]:
+            for b in dx.new_terms[q]:
                 yield (t,), (t[0], q, b)
 
     return match
@@ -704,8 +698,8 @@ def _self_disjoint(q: int) -> _Matcher:
 def _fresh(q: int, r: int) -> _Matcher:
     """6d, 6e, 7d, 7e: (A,q,B) -> (A,r,!B) for a plain resource B."""
 
-    def match(ix, dx, ctx):
-        fresh = ctx.table.fresh
+    def match(ix, dx):
+        fresh = ix.table.fresh
         for t in dx.by_pred.get(q, ()):
             nb = fresh[t[2]]
             if nb >= 0:
@@ -717,7 +711,7 @@ def _fresh(q: int, r: int) -> _Matcher:
 def _disjoint_typing(q: int) -> _Matcher:
     """8a, 8b: (A,q,C), (B,q,D), (C,cdisj,D) -> (A,pdisj,B)."""
 
-    def match(ix, dx, ctx):
+    def match(ix, dx):
         for t1 in dx.by_pred.get(q, ()):
             for t3 in ix.by_sp.get((t1[2], _BOTC), ()):
                 for t2 in ix.by_po.get((q, t3[2]), ()):
@@ -814,79 +808,56 @@ class _Engine:
         # The class (``_BOTC``) and property (``_BOTP``) terms of the
         # rounds so far, each set closed under single negation.
         self.domains: Dict[int, Set[int]] = {_BOTC: set(), _BOTP: set(range(7))}
-        # The self-disjointness statements, by predicate, for 6c/7c, and
-        # how many of them came before the current round's delta.
+        # The self-disjointness statements of the rounds so far, by
+        # predicate, for 6c/7c.
         self.self_disjoint: Dict[int, List[IdTriple]] = {_BOTC: [], _BOTP: []}
-        self.self_before: Dict[int, int] = {_BOTC: 0, _BOTP: 0}
         for t in g:
             key = self.table.encode(t)
             self.triples[key] = t
-            self._install(key)
+            self.index.add(key)
             self.index.add_root(key)
         if len(self.triples) > self.cap:
             raise ClosureCapError(self.cap, len(self.triples))
 
-    def _install(self, key: IdTriple) -> None:
-        self.index.add(key)
-        if key[0] == key[2] and key[1] in self.self_disjoint:
-            self.self_disjoint[key[1]].append(key)
-
-    def _recognize(self, dx: _Delta) -> Dict[int, Set[int]]:
-        """Add the terms ``dx`` names to the domains; return the new ones."""
-        found = {_BOTC: set(), _BOTP: set(dx.by_pred)}
+    def start_round(self, delta: List[IdTriple], roots: List[IdTriple]) -> _Delta:
+        """The round over ``delta``, installed last, with its ``roots``.
+        The terms the delta names join the domains, and the delta gets
+        what 6c/7c read."""
+        table = self.table
+        dx = _Delta(delta, roots, table)
+        new = {_BOTC: set(), _BOTP: set(dx.by_pred)}
         for p, *domains in _RECOGNIZED:
             for pos, q in zip((0, 2), domains):
                 if q is not None:
-                    found[q].update([t[pos] for t in dx.by_pred.get(p, ())])
-        sub, neg = self.table.sub, self.table.neg
+                    new[q].update([t[pos] for t in dx.by_pred.get(p, ())])
+        sub, neg = table.sub, table.neg
         for pos in (2, 0):
-            found[_BOTC].update([sub[t[pos]] for t in dx.star[pos]])
-        for q, xs in found.items():
+            new[_BOTC].update([sub[t[pos]] for t in dx.star[pos]])
+        for q, xs in new.items():
             xs.update([neg[x] for x in xs if neg[x] >= 0])
             xs -= self.domains[q]
             self.domains[q] |= xs
-        return found
-
-    def start_round(self, delta: List[IdTriple], roots: Sequence[IdTriple]) -> Tuple[_Delta, _RoundContext]:
-        """The buckets and context of the round over ``delta``, installed
-        last, with its ``roots``.  The terms the delta names join the
-        domains."""
-        table = self.table
-        dx = _Delta(delta, roots, table)
-        new = self._recognize(dx)
-        now: Dict[int, Sequence[int]] = {}
-        fresh: Dict[int, Sequence[int]] = {}
-        for q, found in self.self_disjoint.items():
+            dx.self_old[q] = self.self_disjoint[q]
+            dx.self_delta[q] = [t for t in dx.by_pred.get(q, ()) if t[0] == t[2]]
+            self.self_disjoint[q] = dx.self_old[q] + dx.self_delta[q]
             # Only a self-disjointness statement reads the terms.
-            now[q] = fresh[q] = ()
-            if found:
-                now[q] = sorted(self.domains[q], key=lambda x: repr(table.terms[x]))
-                fresh[q] = [x for x in now[q] if x in new[q]]
-        old = self.self_before
-        self.self_before = {q: len(s) for q, s in self.self_disjoint.items()}
-        # The delta was installed last, so its self-disjointness
-        # statements are the tails of the two lists.
-        return dx, _RoundContext(
-            table,
-            terms=now,
-            new_terms=fresh,
-            self_delta={q: s[old[q] :] for q, s in self.self_disjoint.items()},
-            self_old={q: s[: old[q]] for q, s in self.self_disjoint.items()},
-        )
+            dx.terms[q] = dx.new_terms[q] = ()
+            if self.self_disjoint[q]:
+                dx.terms[q] = sorted(self.domains[q], key=lambda x: repr(table.terms[x]))
+                dx.new_terms[q] = [x for x in dx.terms[q] if x in xs]
+        return dx
 
     def run(self) -> int:
         triples, steps = self.triples, self.steps
         terms, valid = self.table.terms, self.table.valid
-        iterations = 0
         delta = roots = list(triples)  # the input, all installed so far
         while delta:
-            iterations += 1
-            dx, ctx = self.start_round(delta, roots)
+            dx = self.start_round(delta, roots)
             delta, roots = [], []
             for rule in self.rules:
                 first = len(delta)
                 listed = 0
-                for listed, (premises, key) in enumerate(_MATCHERS[rule](self.index, dx, ctx), 1):
+                for listed, (premises, key) in enumerate(_MATCHERS[rule](self.index, dx), 1):
                     if key in triples or not valid(*key):
                         continue
                     if len(triples) + 1 > self.cap:
@@ -899,11 +870,11 @@ class _Engine:
                 if rule not in self.lifts:
                     roots += delta[first:]
             for key in delta:
-                self._install(key)
+                self.index.add(key)
             for key in roots:
                 self.index.add_root(key)
             self.round_deltas.append(len(delta))
-        return iterations
+        return len(self.round_deltas)
 
 
 # ---------------------------------------------------------------------------

@@ -103,7 +103,6 @@ from .core import (
     Term,
     Triple,
 )
-from .entailment import solve
 from .parser import _Memo, parse_term, serialize_term
 from .reasoner import _closure as closure
 
@@ -592,9 +591,14 @@ def check_model(i: Interpretation, g: Graph) -> SatisfactionReport:
     open_triples = [t for t in checkable if {t.s, t.o} & free_set]
     for t in ground:
         violations.extend(_simple_violations(i, t, {}))
-    if open_triples and solve(open_triples, _holding_assignments(i, free_set), _take) is None:
-        names = ", ".join(serialize_term(b) for b in free)
-        violations.append(Violation("Simple.Existential", f"no assignment of {names} over the resource domain satisfies the graph"))
+    if open_triples:
+        # Only this search needs the entailment module, and it never runs
+        # on a canonical model, where every blank of the graph denotes.
+        from .entailment import solve
+
+        if solve(open_triples, _holding_assignments(i, free_set), _take) is None:
+            names = ", ".join(serialize_term(b) for b in free)
+            violations.append(Violation("Simple.Existential", f"no assignment of {names} over the resource domain satisfies the graph"))
     return SatisfactionReport(satisfied=not violations, violations=tuple(violations))
 
 
@@ -604,8 +608,9 @@ def serialize_interpretation(i: Interpretation) -> str:
     Every field is an element written in term syntax, so complements
     come out with their ``!`` prefix and reload as complement partners.
     A reserved name in the property domain gets no ``P`` line while it
-    denotes itself, and only a term with another denotation gets an
-    ``I`` line.
+    denotes itself.  A term gets an ``I`` line when it has another
+    denotation, or when it is a reserved name that denotes itself outside
+    the property domain, where the loader would otherwise put it.
     """
     lines: List[str] = []
     # Each element is serialized once, both as the sort key and as the field.
@@ -613,6 +618,7 @@ def serialize_interpretation(i: Interpretation) -> str:
 
     plain_r = i.delta_r - i.delta_c - i.delta_l
     implicit_p = {v for v in RESERVED_VOCAB if i.denote.get(v) == v}
+    outside_p = implicit_p - i.delta_p
     for directive, dom in (("R", plain_r), ("P", i.delta_p - implicit_p), ("C", i.delta_c), ("L", i.delta_l)):
         for el in sorted(dom, key=text.__getitem__):
             lines.append(f"{directive} {text[el]}")
@@ -623,7 +629,7 @@ def serialize_interpretation(i: Interpretation) -> str:
         for x in sorted(i.ext_c_pos[c], key=text.__getitem__):
             lines.append(f"C+ {text[c]} {text[x]}")
     for t in sorted(i.denote, key=text.__getitem__):
-        if i.denote[t] != t:
+        if i.denote[t] != t or t in outside_p:
             lines.append(f"I {text[t]} {text[i.denote[t]]}")
     return "\n".join(lines) + ("\n" if lines else "")
 

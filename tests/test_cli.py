@@ -274,7 +274,7 @@ class TestStartUp:
             ("close", MEDICAL): base,
             ("stats", MEDICAL): base,
             ("entail", "--proof", MEDICAL, query): base | {"rhodf.entailment"},
-            ("model", MEDICAL): base | {"rhodf.entailment", "rhodf.semantics"},
+            ("model", MEDICAL): base | {"rhodf.semantics"},
             ("gen", "cubic", "2"): base | {"rhodf.generators"},
         }
         for args, modules in expected.items():

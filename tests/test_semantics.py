@@ -355,10 +355,14 @@ class TestInterpretationFixtures:
         """Reloading a dump gives back the canonical model in every
         field, except that blanks get no denotation, and a reloaded dump
         is a fixed point.  A reserved name that is a property element
-        but denotes another element stays in the property domain."""
+        but denotes another element stays in the property domain, and
+        one that denotes itself outside it stays outside."""
         renamed = load_interpretation("P sp\nR e\nI sp e\n")
         assert SP in renamed.delta_p
-        assert load_interpretation(serialize_interpretation(renamed)) == renamed
+        self_named = load_interpretation("I sp sp\n")
+        assert SP not in self_named.delta_p
+        for i in (renamed, self_named):
+            assert load_interpretation(serialize_interpretation(i)) == i
         texts = [medical_text, medical_negative_text, 'x p "!x" .'] + [f"s p {obj} ." for obj in DUMPED_OBJECTS]
         graphs = [parse_graph(text) for text in texts] + [cubic(n) for n in range(1, 7)] + [spchain(16)]
         graphs += [random_graph(seed=seed, salt_contradiction=seed % 4 == 0) for seed in range(300)]
