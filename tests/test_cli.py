@@ -75,6 +75,18 @@ class TestClose:
         assert capsys.readouterr().out == ""
         assert "morphine type drugTreatment .\n" in target.read_text(encoding="utf-8")
 
+    def test_out_dash_writes_stdout(self, capsys):
+        assert main(["close", MEDICAL]) == 0
+        plain = capsys.readouterr().out
+        assert main(["close", MEDICAL, "--out", "-"]) == 0
+        assert capsys.readouterr().out == plain
+
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys):
+        assert main(["close", MEDICAL, "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
 
 class TestEntail:
     def test_negative_judgment_holds(self, tmp_path, capsys):

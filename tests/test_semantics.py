@@ -12,6 +12,7 @@ import reference_semantics
 from rhodf import (
     BOTC,
     BOTP,
+    RESERVED_VOCAB,
     SC,
     SP,
     TYPE,
@@ -374,6 +375,15 @@ class TestInterpretationFixtures:
             fields = (model.delta_r, model.delta_p, model.delta_c, model.delta_l, model.ext_p_pos, model.ext_c_pos, model.complement)
             assert loaded == Interpretation(*fields, denote), g.triples()
             assert serialize_interpretation(loaded) == first, g.triples()
+
+    @pytest.mark.parametrize("name", sorted(t.name for t in RESERVED_VOCAB))
+    def test_reserved_name_survives_a_dump(self, name):
+        """Each reserved name keeps its place in or out of the property
+        domain, and its denotation, across a dump and a reload."""
+        for text in (f"P {name}\n", f"I {name} {name}\n", f"P {name}\nR e\nI {name} e\n"):
+            i = load_interpretation(text)
+            assert (Iri(name) in i.delta_p) == text.startswith("P"), text
+            assert load_interpretation(serialize_interpretation(i)) == i, text
 
     def test_bracketed_and_quoted_terms_reload_unchanged(self):
         """A bracketed field is an IRI, with a ``!`` its complement, and
