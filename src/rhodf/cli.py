@@ -190,7 +190,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     result = closure(g, args.mode, cap=args.cap)
     lines = [
         f"input triples: {len(g)}",
-        f"closure triples: {len(result.closure)}",
+        f"closure triples: {result.stats.output_size}",
         f"iterations: {result.stats.iterations}",
     ]
     for rule_id, count in sorted(result.stats.rule_fire_counts.items()):

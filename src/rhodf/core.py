@@ -26,13 +26,24 @@ constructor enforces them.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Hashable, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 # ---------------------------------------------------------------------------
 # Records
 # ---------------------------------------------------------------------------
 
 _set = object.__setattr__
+
+
+class _Memo(dict):
+    """The values of a one-argument function, each computed on first lookup."""
+
+    def __init__(self, f: Callable[[Hashable], object]) -> None:
+        self.f = f
+
+    def __missing__(self, key: Hashable) -> object:
+        value = self[key] = self.f(key)
+        return value
 
 
 class Record:
@@ -332,7 +343,9 @@ class Graph:
 
     Iteration follows first-insertion order so that every downstream
     computation is deterministic, while equality and hashing treat a graph
-    as the plain set of its triples.
+    as the plain set of its triples.  The closure's graph holds id triples
+    instead and builds its :class:`Triple` values on first use; see
+    :class:`_IdGraph`.
     """
 
     __slots__ = ("_order", "_set")
@@ -364,10 +377,15 @@ class Graph:
         return hash(self._set)
 
     def __repr__(self) -> str:
-        return f"Graph({len(self._order)} triples)"
+        return f"Graph({len(self)} triples)"
 
     def triples(self) -> Tuple[Triple, ...]:
         return self._order
+
+    def _rows(self) -> Tuple[Iterable[tuple], Optional[Sequence[Term]]]:
+        """The triples as ``(s, p, o)`` rows, in order, and the terms that
+        the rows' entries index, or ``None`` where the entries are terms."""
+        return map(Triple.terms, self._order), None
 
     @property
     def universe(self) -> FrozenSet[Term]:
@@ -388,13 +406,46 @@ class Graph:
         return not self.blanks
 
 
-def _trusted_graph(triples: Iterable[Triple]) -> Graph:
-    """A :class:`Graph` of triples the caller knows to be distinct
-    :class:`Triple` values; they are neither deduplicated nor checked."""
-    g = object.__new__(Graph)
-    g._order = tuple(triples)
-    g._set = frozenset(g._order)
-    return g
+class _IdGraph(Graph):
+    """A :class:`Graph` of distinct, valid ``(s, p, o)`` id triples.
+
+    ``keys`` maps each id triple to ``None`` in graph order; ``table``
+    turns ids into terms through its ``terms`` list and terms into ids
+    through its ``ids`` dict, as a :class:`~rhodf.reasoner.TermTable`
+    does.  Length, membership and :func:`~rhodf.parser.serialize_graph`
+    answer from the ids.  The :class:`Triple` values, and their set, are
+    built when something first iterates, compares or hashes the graph.
+    """
+
+    __slots__ = ("_keys", "_table")
+
+    def __init__(self, keys: Dict[Tuple[int, int, int], None], table: object) -> None:
+        self._keys = keys
+        self._table = table
+
+    def __getattr__(self, name: str) -> object:
+        # Reached only for an unset slot: build the triples once.
+        if name != "_order" and name != "_set":
+            raise AttributeError(name)
+        terms = self._table.terms
+        self._order = tuple([_trusted_triple(terms[s], terms[p], terms[o]) for s, p, o in self._keys])
+        self._set = frozenset(self._order)
+        return getattr(self, name)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __contains__(self, t: object) -> bool:
+        if t.__class__ is not Triple:
+            return False
+        ids = self._table.ids
+        return (ids.get(t.s), ids.get(t.p), ids.get(t.o)) in self._keys
+
+    def __reduce__(self) -> tuple:
+        return (_IdGraph, (self._keys, self._table))
+
+    def _rows(self) -> Tuple[Iterable[tuple], Optional[Sequence[Term]]]:
+        return self._keys, self._table.terms
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple, TypeVar
 
-from .core import Blank, Graph, Record, Triple, VariableMap, apply_map, try_triple
+from .core import Blank, Graph, Record, Triple, VariableMap, apply_map
 from .reasoner import ClosureResult, IdTriple, ProofStep, RuleId, TermTable, TripleIndex
 from .reasoner import _closure as closure
 
@@ -153,10 +153,14 @@ def _match_candidates(target: Graph, ix: Optional[TripleIndex] = None) -> Tuple[
     the triples of ``target`` a query triple can match under the bindings
     so far, as id triples of ``ix``, a :class:`~rhodf.reasoner.TripleIndex`
     of ``target`` built here unless given, and the binder binds the
-    query's blanks to the terms of one of them."""
+    query's blanks to the terms of one of them.  A given ``ix`` comes
+    with the closure graph of its own term table."""
     if ix is None:
         table = TermTable()
-        ix = TripleIndex(table, map(table.encode, target))
+        keys = dict.fromkeys(map(table.encode, target))
+        ix = TripleIndex(table, keys)
+    else:
+        keys = target._keys
     ids, terms = ix.table.ids, ix.table.terms
 
     def candidates(t: Triple, sigma: Bindings) -> Sequence[IdTriple]:
@@ -164,8 +168,8 @@ def _match_candidates(target: Graph, ix: Optional[TripleIndex] = None) -> Tuple[
         o = sigma.get(t.o) if isinstance(t.o, Blank) else t.o
         p = ids.get(t.p)
         if s is not None and o is not None:
-            key = try_triple(s, t.p, o)
-            return ((ids[s], p, ids[o]),) if key is not None and key in target else ()
+            key = (ids.get(s), p, ids.get(o))
+            return (key,) if key in keys else ()
         if s is not None:
             return ix.by_sp.get((ids.get(s), p), ())
         if o is not None:
@@ -215,7 +219,7 @@ def extract_proof(h: Graph, mu: VariableMap, result: ClosureResult) -> Tuple[Pro
     steps: List[ProofStep] = []
     emitted: Set[Triple] = set()
     # Steps are built only for the triples of the proof.
-    derived = dict(result._derived())
+    derived = result._derived()
 
     def visit(root: Triple) -> None:
         # Iterative post-order; provenance chains can be deep.  A triple

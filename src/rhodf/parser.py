@@ -29,7 +29,7 @@ first, so a file with k bad lines produces at least k diagnostics.
 from __future__ import annotations
 
 import re
-from typing import Callable, Dict, Hashable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from .core import (
     Blank,
@@ -42,6 +42,7 @@ from .core import (
     Star,
     Term,
     Triple,
+    _Memo,
     negate,
 )
 
@@ -106,8 +107,9 @@ _TOKEN = re.compile(
 )
 _ESCAPE = re.compile(r"\\(.?)")
 
-# A token is ".", "!", "*" or a base term, paired with the span it starts at.
-_Spanned = Tuple[object, SourceSpan]
+# A token is ".", "!", "*" or a base term, paired with the 1-based column
+# it starts at; a SourceSpan is built only for a diagnostic.
+_Placed = Tuple[object, int]
 
 
 def _unescape(body: str, lineno: int, column: int, errors: List[ParseError]) -> str:
@@ -124,7 +126,7 @@ def _unescape(body: str, lineno: int, column: int, errors: List[ParseError]) -> 
     return _ESCAPE.sub(resolve, body)
 
 
-def _tokens(lineno: int, line: str, errors: List[ParseError], terms: Dict[str, Term]) -> Iterator[_Spanned]:
+def _tokens(lineno: int, line: str, errors: List[ParseError], terms: Dict[str, Term]) -> Iterator[_Placed]:
     """The tokens of one line; lexical errors go to ``errors``.  ``terms``
     maps the text of each IRI and blank token read so far to its term, so
     that each distinct one is built and hashed once."""
@@ -132,41 +134,41 @@ def _tokens(lineno: int, line: str, errors: List[ParseError], terms: Dict[str, T
         kind = m.lastgroup
         if kind == "skip":
             continue
-        span = SourceSpan(lineno, m.start() + 1)
+        column = m.start() + 1
         if kind == "name" or kind == "blank" or kind == "iri" and m.group(kind):
             term = terms.get(m.group())
             if term is None:
                 term = terms[m.group()] = Blank(m.group(kind)) if kind == "blank" else Iri(m.group(kind))
-            yield term, span
+            yield term, column
         elif kind == "dot":
-            yield ".", span
+            yield ".", column
         elif kind == "prefix":
-            yield ("!" if m.group(kind) in "!¬" else "*"), span
+            yield ("!" if m.group(kind) in "!¬" else "*"), column
         elif kind == "literal":
-            yield Literal(_unescape(m.group(kind), lineno, m.start(kind) + 1, errors)), span
+            yield Literal(_unescape(m.group(kind), lineno, m.start(kind) + 1, errors)), column
         elif kind == "iri":
-            errors.append(ParseError("empty IRI reference", span, "lexical"))
+            errors.append(ParseError("empty IRI reference", SourceSpan(lineno, column), "lexical"))
         elif kind == "open_iri":
-            errors.append(ParseError("unterminated IRI reference", span, "lexical"))
+            errors.append(ParseError("unterminated IRI reference", SourceSpan(lineno, column), "lexical"))
         elif kind == "open_literal":
             _unescape(m.group(kind), lineno, m.start(kind) + 1, errors)
-            errors.append(ParseError("unterminated literal", span, "lexical"))
+            errors.append(ParseError("unterminated literal", SourceSpan(lineno, column), "lexical"))
         elif m.group(kind) == "_":
-            errors.append(ParseError("malformed blank node label", span, "lexical"))
+            errors.append(ParseError("malformed blank node label", SourceSpan(lineno, column), "lexical"))
         else:
-            errors.append(ParseError(f"unexpected character {m.group(kind)!r}", span, "lexical"))
+            errors.append(ParseError(f"unexpected character {m.group(kind)!r}", SourceSpan(lineno, column), "lexical"))
 
 
-def _apply_prefixes(base: Term, prefixes: List[_Spanned]) -> Union[Term, ParseError]:
+def _apply_prefixes(base: Term, prefixes: List[_Placed], lineno: int) -> Union[Term, ParseError]:
     # Innermost prefix (closest to the base) applies first.
     term = base
-    for prefix, span in reversed(prefixes):
+    for prefix, column in reversed(prefixes):
         if prefix == "*" and not isinstance(term, (Iri, Neg)):
-            return ParseError("star subscript must be an IRI or negated IRI", span, "validation")
+            return ParseError("star subscript must be an IRI or negated IRI", SourceSpan(lineno, column), "validation")
         try:
             term = Star(term) if prefix == "*" else negate(term)
         except ValueError as exc:
-            return ParseError(str(exc), span, "validation")
+            return ParseError(str(exc), SourceSpan(lineno, column), "validation")
     return term
 
 
@@ -178,16 +180,16 @@ _VIOLATION_TEXT = {
 }
 
 
-def _finish(terms: List[_Spanned], dot: SourceSpan, triples: List[Triple], errors: List[ParseError]) -> None:
+def _finish(terms: List[_Placed], lineno: int, dot: int, triples: List[Triple], errors: List[ParseError]) -> None:
     if len(terms) != 3:
-        errors.append(ParseError(f"expected 3 terms before '.', found {len(terms)}", dot, "structural"))
+        errors.append(ParseError(f"expected 3 terms before '.', found {len(terms)}", SourceSpan(lineno, dot), "structural"))
         return
-    (s, span), (p, _), (o, _) = terms
+    (s, column), (p, _), (o, _) = terms
     try:
         triples.append(Triple(s, p, o))
     except InvalidTripleError as exc:
         for code in exc.violations:
-            errors.append(ParseError(_VIOLATION_TEXT[code], span, "validation"))
+            errors.append(ParseError(_VIOLATION_TEXT[code], SourceSpan(lineno, column), "validation"))
 
 
 # ---------------------------------------------------------------------------
@@ -202,32 +204,32 @@ def parse_graph_lenient(text: str) -> Tuple[Graph, List[ParseError]]:
     errors: List[ParseError] = []
     known: Dict[str, Term] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        terms: List[_Spanned] = []  # the open statement's terms, spanned from their first prefix
-        prefixes: List[_Spanned] = []  # prefixes still waiting for their base term
-        last: Optional[SourceSpan] = None  # the open statement's last token
+        terms: List[_Placed] = []  # the open statement's terms, placed at their first prefix
+        prefixes: List[_Placed] = []  # prefixes still waiting for their base term
+        last: Optional[int] = None  # the column of the open statement's last token
         skipping = False  # after a bad term, until the statement's '.'
-        for token, span in _tokens(lineno, line, lex_errors, known):
+        for token, column in _tokens(lineno, line, lex_errors, known):
             if skipping:
                 skipping = token != "."
             elif isinstance(token, Term):
-                term = _apply_prefixes(token, prefixes)
+                term = _apply_prefixes(token, prefixes, lineno) if prefixes else token
                 if isinstance(term, ParseError):
                     errors.append(term)
                     terms, prefixes, last, skipping = [], [], None, True
                 else:
-                    terms.append((term, prefixes[0][1] if prefixes else span))
-                    prefixes, last = [], span
+                    terms.append((term, prefixes[0][1] if prefixes else column))
+                    prefixes, last = [], column
             elif token == ".":
                 if prefixes:
-                    errors.append(ParseError("prefix without a following term", span, "structural"))
+                    errors.append(ParseError("prefix without a following term", SourceSpan(lineno, column), "structural"))
                 else:
-                    _finish(terms, span, triples, errors)
+                    _finish(terms, lineno, column, triples, errors)
                 terms, prefixes, last = [], [], None
             else:
-                prefixes.append((token, span))
-                last = span
+                prefixes.append((token, column))
+                last = column
         if last is not None:
-            errors.append(ParseError("statement is missing its terminating '.'", last, "structural"))
+            errors.append(ParseError("statement is missing its terminating '.'", SourceSpan(lineno, last), "structural"))
     # A lexical error sorts before a statement's error at the same place.
     errors = sorted(lex_errors + errors, key=lambda e: (e.span.line, e.span.column))
     return Graph(triples), errors
@@ -244,13 +246,13 @@ def parse_graph(text: str) -> Graph:
 def parse_term(text: str) -> Term:
     """Parse a single term, as it would appear inside a statement."""
     errors: List[ParseError] = []
-    tokens = [tok for n, line in enumerate(text.splitlines(), start=1) for tok in _tokens(n, line, errors, {})]
+    tokens = [(n, *tok) for n, line in enumerate(text.splitlines(), start=1) for tok in _tokens(n, line, errors, {})]
     if errors:
         raise ValueError(str(errors[0]))
-    lines = {span.line for _, span in tokens}  # a term, like a statement, sits on one line
-    if len(lines) != 1 or not isinstance(tokens[-1][0], Term) or any(t not in ("!", "*") for t, _ in tokens[:-1]):
+    lines = {n for n, _, _ in tokens}  # a term, like a statement, sits on one line
+    if len(lines) != 1 or not isinstance(tokens[-1][1], Term) or any(t not in ("!", "*") for _, t, _ in tokens[:-1]):
         raise ValueError(f"expected exactly one term, got {text!r}")
-    term = _apply_prefixes(tokens[-1][0], tokens[:-1])
+    term = _apply_prefixes(tokens[-1][1], [tok[1:] for tok in tokens[:-1]], tokens[0][0])
     if isinstance(term, ParseError):
         raise ValueError(str(term))
     return term
@@ -284,23 +286,15 @@ def serialize_triple(t: Triple) -> str:
     return f"{serialize_term(t.s)} {serialize_term(t.p)} {serialize_term(t.o)} ."
 
 
-class _Memo(dict):
-    """The values of a one-argument function, each computed on first lookup."""
-
-    def __init__(self, f: Callable[[Hashable], str]) -> None:
-        self.f = f
-
-    def __missing__(self, key: Hashable) -> str:
-        value = self[key] = self.f(key)
-        return value
-
-
 def serialize_graph(g: Graph) -> str:
     """Render one statement per line, sorted by the serialized terms.
 
     Sorting whole lines gives that order: a serialized term that is a
     proper prefix of another is a bare name or blank label, whose next
     character sorts after the space that ends the shorter one.  Each
-    distinct term is serialized once."""
-    text = _Memo(serialize_term)
-    return "".join(sorted([f"{text[t.s]} {text[t.p]} {text[t.o]} .\n" for t in g]))
+    distinct term is serialized once.  The closure's graph gives its
+    rows as term ids, so its lines come from one string per id and its
+    :class:`~rhodf.core.Triple` values are not built."""
+    rows, terms = g._rows()
+    text = _Memo(serialize_term if terms is None else lambda x: serialize_term(terms[x]))
+    return "".join(sorted([f"{text[s]} {text[p]} {text[o]} .\n" for s, p, o in rows]))

@@ -22,14 +22,16 @@ Rules join over integers.  A :class:`TermTable` gives every term a dense
 id and answers, per id, what the rules ask of a term: its complement,
 its star, a star's subscript and the validity flags.  The index, the
 rounds' deltas and the matchers hold ``(s, p, o)`` id tuples, and a
-candidate is deduplicated and validated as such.  A :class:`Triple` is
-built only for a candidate that passes both, so once per closure
-triple, and it is not validated again.  The index keeps them by
-predicate, by subject and predicate, by predicate and object, and by
-star subscript.  Each round is one record, its delta: the new triples
-by predicate and by star position, and what rules 6c/7c read.  Every
-matcher takes the index and the delta, ``(ix, dx)``, and reads the term
-table as ``ix.table``.
+candidate is deduplicated and validated as such.  The engine builds no
+:class:`Triple`: the closure's :class:`~rhodf.core.Graph` keeps the id
+triples with the term table and builds its triples, unchecked, only
+when something first iterates, compares or hashes it; its length,
+membership and serialization answer from the ids.  The index keeps the
+id triples by predicate, by subject and predicate, by predicate and
+object, and by star subscript.  Each round is one record, its delta:
+the new triples by predicate and by star position, and what rules 6c/7c
+read.  Every matcher takes the index and the delta, ``(ix, dx)``, and
+reads the term table as ``ix.table``.
 
 Rules 6c/7c have a free conclusion variable, which ranges over the class
 and property terms recognized in the current partial closure: those
@@ -49,10 +51,10 @@ reserved nor stars.  Without the transitivity rule, every triple is a
 root.  Rules 2d/2e list a subset of what 2b lists, so they do not run
 when 2b does; they still count in the stats, with 0.
 
-The closure keeps the rule and premise triples of each derived triple,
-and :attr:`ClosureResult.provenance` builds a :class:`ProofStep` from
-each when it is first read.  It also keeps the engine's index and term
-table, which :func:`~rhodf.entailment.entails` and
+The closure keeps the rule and premise id triples of each derived
+triple, and :attr:`ClosureResult.provenance` builds a :class:`ProofStep`
+of triples from each when it is first read.  It also keeps the engine's
+index and term table, which :func:`~rhodf.entailment.entails` and
 :func:`~rhodf.semantics.canonical_model` read instead of encoding the
 closure again.
 
@@ -63,6 +65,7 @@ and 3b have no mirror and are written out.
 
 from __future__ import annotations
 
+import itertools
 import time
 from enum import Enum
 from typing import (
@@ -77,6 +80,7 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
 from .core import (
@@ -95,7 +99,8 @@ from .core import (
     Term,
     Triple,
     VariableMap,
-    _trusted_graph,
+    _IdGraph,
+    _Memo,
     _trusted_triple,
     try_negate,
 )
@@ -220,9 +225,11 @@ class ClosureStats(Record):
 class ClosureResult(Record):
     """Closure graph plus provenance and domain bookkeeping.
 
+    :func:`closure` gives a ``closure`` graph of the engine's id triples,
+    which builds its :class:`Triple` values on first use.
     ``provenance`` maps each derived (non-input) triple to the first
     :class:`ProofStep` that produced it.  :func:`closure` passes
-    ``None`` for it and, as ``_steps``, the ``(rule, premises)`` of each
+    ``None`` for it and, as ``_steps``, the rule and id premises of each
     derived triple in closure order: the mapping is then built on first
     read, so a caller that never reads it never builds its steps.
     ``_index`` is the engine's :class:`TripleIndex` of the closure, with
@@ -238,7 +245,7 @@ class ClosureResult(Record):
         class_terms: FrozenSet[Term],
         property_terms: FrozenSet[Term],
         stats: ClosureStats,
-        _steps: Sequence[Tuple[RuleId, Tuple[Triple, ...]]] = (),
+        _steps: Sequence[Tuple[RuleId, Tuple[IdTriple, ...]]] = (),
         _index: Optional[TripleIndex] = None,
     ) -> None:
         self._init(closure, provenance, class_terms, property_terms, stats)
@@ -251,18 +258,44 @@ class ClosureResult(Record):
         # Reached only for an unset slot: build ``provenance`` once.
         if name != "provenance":
             raise AttributeError(name)
-        derived = self._derived() if self._steps else ()
+        derived = self._derived().items() if self._steps else ()
         provenance = {t: ProofStep(rule, premises, t) for t, (rule, premises) in derived}
         object.__setattr__(self, "provenance", provenance)
         object.__setattr__(self, "_steps", ())
         return provenance
 
-    def _derived(self) -> Iterator[Tuple[Triple, Tuple[RuleId, Tuple[Triple, ...]]]]:
-        """Each derived triple with its rule and premises; no step is built."""
-        steps = self._steps
-        if not steps:
-            return ((t, (step.rule, step.premises)) for t, step in self.provenance.items())
-        return zip(self.closure.triples()[len(self.closure) - len(steps) :], steps)
+    def _derived(self) -> Union[_Derived, Dict[Triple, Tuple[RuleId, Tuple[Triple, ...]]]]:
+        """The rule and premises of each derived triple, in closure order,
+        by ``get`` or ``items`` as of a dict; no step is built."""
+        if not self._steps:
+            return {t: (step.rule, step.premises) for t, step in self.provenance.items()}
+        return _Derived(self.closure, self._steps, self._index.table)
+
+
+class _Derived:
+    """The rule and premises of each derived triple, read off the engine's
+    id steps.  A triple is built when a lookup or the listing reaches it,
+    once per id triple, so a proof builds only its own."""
+
+    def __init__(self, graph: _IdGraph, steps: Sequence[Tuple[RuleId, Tuple[IdTriple, ...]]], table: TermTable) -> None:
+        self.graph, keys = graph, graph._keys
+        self.steps = dict(zip(itertools.islice(keys, len(keys) - len(steps), None), steps))
+        self.ids, terms = table.ids, table.terms
+        self.triple = _Memo(lambda k: _trusted_triple(terms[k[0]], terms[k[1]], terms[k[2]]))
+
+    def _decode(self, step: Tuple[RuleId, Tuple[IdTriple, ...]]) -> Tuple[RuleId, Tuple[Triple, ...]]:
+        rule, premises = step
+        return rule, tuple(map(self.triple.__getitem__, premises))
+
+    def get(self, t: Triple, default: object = None) -> object:
+        ids = self.ids
+        step = self.steps.get((ids.get(t.s), ids.get(t.p), ids.get(t.o)))
+        return default if step is None else self._decode(step)
+
+    def items(self) -> Iterator[Tuple[Triple, Tuple[RuleId, Tuple[Triple, ...]]]]:
+        # The listing reaches every triple, so it shares the graph's.
+        self.triple.update(zip(self.graph._keys, self.graph.triples()))
+        return ((self.triple[k], self._decode(step)) for k, step in self.steps.items())
 
 
 class ClosureCapError(RuntimeError):
@@ -454,7 +487,9 @@ class _Delta:
 # delta `dx`; the full state, with the term table, is in `ix`.
 # Candidates are validated and deduplicated by the caller, so listing
 # one twice, as when the delta is the whole graph, is harmless.  Loop
-# order decides closure order and provenance.
+# order decides closure order and provenance.  A loop over every delta
+# triple runs only when the predicate of some delta triple can join,
+# which is asked once per predicate of the delta, not once per triple.
 #
 # A mirrored family is one factory closed over a predicate id (sp or sc,
 # dom or range, cdisj or pdisj) or a triple position, 2 = object and
@@ -477,6 +512,11 @@ def _transitive(q: int) -> _Matcher:
                 yield (t1, t2), (t1[0], q, t2[2])
 
     return match
+
+
+def _joins(ix: TripleIndex, dx: _Delta, q: int) -> bool:
+    """Whether some predicate ``p`` of the delta has a ``(p, q)`` statement."""
+    return any((p, q) in ix.by_sp for p in dx.by_pred)
 
 
 def _m_2b(ix, dx):
@@ -553,9 +593,10 @@ def _typing(q: int, pos: int) -> _Matcher:
         for t1 in dx.by_pred.get(q, ()):
             for t2 in ix.by_pred.get(t1[0], ()):
                 yield (t1, t2), (t2[pos], _TYPE, t1[2])
-        for t2 in dx.all:
-            for t1 in ix.by_sp.get((t2[1], q), ()):
-                yield (t1, t2), (t2[pos], _TYPE, t1[2])
+        if _joins(ix, dx, q):
+            for t2 in dx.all:
+                for t1 in ix.by_sp.get((t2[1], q), ()):
+                    yield (t1, t2), (t2[pos], _TYPE, t1[2])
 
     return match
 
@@ -582,13 +623,14 @@ def _neg_typing(q: int, pos: int) -> _Matcher:
                     continue
                 for t3 in ix.by_pred.get(t1[0], ()):
                     yield (t1, t2, t3), ((t2[0], nd, t3[2]) if pos == 0 else (t3[0], nd, t2[0]))
-        for t3 in dx.all:
-            for t1 in ix.by_sp.get((t3[1], q), ()):
-                nd, nb = neg[t1[0]], neg[t1[2]]
-                if nd < 0 or nb < 0:
-                    continue
-                for t2 in ix.by_po.get((_TYPE, nb), ()):
-                    yield (t1, t2, t3), ((t2[0], nd, t3[2]) if pos == 0 else (t3[0], nd, t2[0]))
+        if _joins(ix, dx, q):
+            for t3 in dx.all:
+                for t1 in ix.by_sp.get((t3[1], q), ()):
+                    nd, nb = neg[t1[0]], neg[t1[2]]
+                    if nd < 0 or nb < 0:
+                        continue
+                    for t2 in ix.by_po.get((_TYPE, nb), ()):
+                        yield (t1, t2, t3), ((t2[0], nd, t3[2]) if pos == 0 else (t3[0], nd, t2[0]))
 
     return match
 
@@ -621,13 +663,14 @@ def _star_neg(pos: int) -> _Matcher:
                 continue
             for t2 in pairs.get((t1[0], nd) if pos == 2 else (nd, t1[2]), ()):
                 yield (t1, t2), (t2[pos], _TYPE, neg[sub[t1[pos]]])
-        for t2 in dx.all:
-            nd = neg[t2[1]]
-            if nd < 0:
-                continue
-            for t1 in pairs.get((t2[0], nd) if pos == 2 else (nd, t2[2]), ()):
-                if sub[t1[pos]] >= 0:
-                    yield (t1, t2), (t2[pos], _TYPE, neg[sub[t1[pos]]])
+        if any(neg[p] in ix.by_pred for p in dx.by_pred):
+            for t2 in dx.all:
+                nd = neg[t2[1]]
+                if nd < 0:
+                    continue
+                for t1 in pairs.get((t2[0], nd) if pos == 2 else (nd, t2[2]), ()):
+                    if sub[t1[pos]] >= 0:
+                        yield (t1, t2), (t2[pos], _TYPE, neg[sub[t1[pos]]])
 
     return match
 
@@ -646,13 +689,11 @@ def _sp_typing(q: int, pos: int) -> _Matcher:
                     yield (t1, t2, t3), (t3[pos], _TYPE, t1[2])
         # The index holds still during a call, so the (t1, t2) pairs of a
         # predicate are listed once, not once per delta triple using it.
-        pairs: Dict[int, List[Tuple[IdTriple, IdTriple]]] = {}
-        for t3 in dx.all:
-            found = pairs.get(t3[1])
-            if found is None:
-                found = pairs[t3[1]] = [(t1, t2) for t2 in ix.by_sp.get((t3[1], _SP), ()) for t1 in ix.by_sp.get((t2[2], q), ())]
-            for t1, t2 in found:
-                yield (t1, t2, t3), (t3[pos], _TYPE, t1[2])
+        pairs = {p: [(t1, t2) for t2 in ix.by_sp.get((p, _SP), ()) for t1 in ix.by_sp.get((t2[2], q), ())] for p in dx.by_pred}
+        if any(pairs.values()):
+            for t3 in dx.all:
+                for t1, t2 in pairs[t3[1]]:
+                    yield (t1, t2, t3), (t3[pos], _TYPE, t1[2])
 
     return match
 
@@ -796,12 +837,11 @@ class _Engine:
         self.lifts = {r for r in self.rules if _LIFTS.get(r) in rule_ids}
         self.table = TermTable()
         self.index = TripleIndex(self.table)
-        # Every installed or pending triple by its ids: one dict both
-        # drops rediscovered candidates and finds the Triple of a
-        # premise.  It keeps first-insertion order.
-        self.triples: Dict[IdTriple, Triple] = {}
+        # Every installed or pending id triple, in first-insertion order:
+        # it drops rediscovered candidates and becomes the closure's graph.
+        self.triples: Dict[IdTriple, None] = {}
         # The rule and premises of each derived triple, in that order.
-        self.steps: List[Tuple[RuleId, Tuple[Triple, ...]]] = []
+        self.steps: List[Tuple[RuleId, Tuple[IdTriple, ...]]] = []
         self.fires: Dict[str, int] = {r.value: 0 for r in known}
         self.candidates: Dict[str, int] = dict.fromkeys(self.fires, 0)
         self.round_deltas: List[int] = []
@@ -813,7 +853,7 @@ class _Engine:
         self.self_disjoint: Dict[int, List[IdTriple]] = {_BOTC: [], _BOTP: []}
         for t in g:
             key = self.table.encode(t)
-            self.triples[key] = t
+            self.triples[key] = None
             self.index.add(key)
             self.index.add_root(key)
         if len(self.triples) > self.cap:
@@ -849,7 +889,7 @@ class _Engine:
 
     def run(self) -> int:
         triples, steps = self.triples, self.steps
-        terms, valid = self.table.terms, self.table.valid
+        valid = self.table.valid
         delta = roots = list(triples)  # the input, all installed so far
         while delta:
             dx = self.start_round(delta, roots)
@@ -862,8 +902,8 @@ class _Engine:
                         continue
                     if len(triples) + 1 > self.cap:
                         raise ClosureCapError(self.cap, len(triples) + 1)
-                    triples[key] = _trusted_triple(terms[key[0]], terms[key[1]], terms[key[2]])
-                    steps.append((rule, tuple(map(triples.__getitem__, premises))))
+                    triples[key] = None
+                    steps.append((rule, premises))
                     delta.append(key)
                 self.fires[rule.value] += len(delta) - first
                 self.candidates[rule.value] += listed
@@ -907,14 +947,10 @@ def closure(
     start = time.perf_counter()
     engine = _Engine(g, rule_ids, cap)
     iterations = engine.run()
-    order = tuple(engine.triples.values())
-    # Free the id dict before the Graph builds its set, so that it stays
-    # out of the peak memory; the index stays on the result.
-    engine.triples = None
     elapsed = time.perf_counter() - start
     terms = engine.table.terms
     return ClosureResult(
-        closure=_trusted_graph(order),
+        closure=_IdGraph(engine.triples, engine.table),
         provenance=None,
         class_terms=frozenset([terms[x] for x in engine.domains[_BOTC]]),
         property_terms=frozenset([terms[x] for x in engine.domains[_BOTP]]),
@@ -922,7 +958,7 @@ def closure(
             iterations=iterations,
             rule_fire_counts=dict(engine.fires),
             input_size=len(g),
-            output_size=len(order),
+            output_size=len(engine.triples),
             elapsed_s=elapsed,
             round_deltas=tuple(engine.round_deltas),
             rule_candidates=dict(engine.candidates),

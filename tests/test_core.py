@@ -32,6 +32,7 @@ from rhodf import (
     VariableMap,
     Violation,
     apply_map,
+    closure,
     is_reserved,
     negate,
     try_negate,
@@ -197,6 +198,9 @@ class TestVariableMap:
 
 T = Triple(A, SP, B)
 STATS = ClosureStats(2, {"2a": 1}, 3, 4, 0.5, (1, 0), {"2a": 2})
+# A closure graph, which holds id triples and builds its Triple values on
+# first use; pickled and copied graphs come back without them.
+ID_GRAPH = closure(Graph([T]), rule_ids=frozenset()).closure
 
 # Every record class with its fields, in constructor order, and its repr.
 RECORDS = [
@@ -223,7 +227,7 @@ RECORDS = [
     ),
     (
         ClosureResult,
-        (Graph([T]), {}, frozenset(), frozenset({SP}), STATS),
+        (ID_GRAPH, {}, frozenset(), frozenset({SP}), STATS),
         "ClosureResult(closure=Graph(1 triples), provenance={}, class_terms=frozenset(), property_terms=frozenset({Iri(name='sp')}), "
         f"stats={STATS!r})",
     ),

@@ -1,5 +1,6 @@
 """Closure engine tests: fixpoints, rule sets, provenance and growth."""
 
+import copy
 import itertools
 import os
 import pathlib
@@ -36,7 +37,7 @@ from rhodf import (
     validate_triple,
 )
 import rhodf
-from rhodf import cli
+from rhodf import VariableMap, cli, entailment, entails, extract_proof, try_triple
 from rhodf.parser import serialize_graph, serialize_triple
 from rhodf.reasoner import TermTable
 from term_engine import RULES, term_closure, term_domains, term_instantiate
@@ -225,6 +226,101 @@ class TestProvenance:
         assert "_index" not in repr(result)
         twin = pickle.loads(pickle.dumps(result))
         assert twin == result and twin._index is None
+
+
+def built(g):
+    """Whether ``g`` holds its Triple values yet; the closure's graph
+    builds them on first use.  The slot is read past that hook."""
+    try:
+        Graph._order.__get__(g)
+    except AttributeError:
+        return False
+    return True
+
+
+class TestClosureGraph:
+    """The closure's graph holds the engine's id triples and builds its
+    Triple values only when something iterates, compares or hashes it."""
+
+    def test_equals_hashes_and_iterates_like_a_plain_graph(self):
+        """Each check starts from a fresh, unbuilt closure graph, and
+        membership is asked of every closure triple, of each one turned
+        around and of a triple over a term the closure lacks."""
+        wrong = []
+        for k, g in enumerate(oracle_inputs()):
+            plain = Graph(closure(g).closure.triples())
+            fresh = lambda: closure(g).closure  # noqa: E731
+            outside = [try_triple(t.o, t.p, t.s) for t in plain] + [Triple(A, SC, Iri("nowhere"))]
+            probes = [*plain, *filter(None, outside)]
+            checks = [
+                fresh() == plain,
+                plain == fresh(),
+                not fresh() != plain,
+                hash(fresh()) == hash(plain),
+                list(fresh()) == list(plain),
+                fresh().triples() == plain.triples(),
+                len(fresh()) == len(plain),
+                list(map(fresh().__contains__, probes)) == [t in plain for t in probes],
+                pickle.loads(pickle.dumps(fresh())) == plain,
+                repr(fresh()) == repr(plain),
+            ]
+            if not all(checks):
+                wrong.append((k, checks))
+        assert wrong == []
+
+    @pytest.mark.parametrize("mode", ["rdf", "full"])
+    def test_serializes_like_a_plain_graph(self, mode):
+        wrong = []
+        for k, g in enumerate(oracle_inputs()):
+            cl = closure(g, mode).closure
+            text = serialize_graph(cl)
+            if built(cl) or text != serialize_graph(Graph(closure(g, mode).closure.triples())):
+                wrong.append(k)
+        assert wrong == []
+
+    def test_size_text_stats_and_ground_entailment_build_no_triple(self, medical_text, tmp_path, monkeypatch):
+        """So the saving of keeping ids cannot silently come back: the
+        closure graphs made by hand, by ``rhodf close`` and ``stats`` and by
+        ``entails`` on ground queries, held and not, stay unbuilt."""
+        g = parse_graph(medical_text)
+        result = closure(g)
+        serialize_graph(result.closure)
+        assert len(result.closure) == result.stats.output_size
+        assert Triple(Iri("morphine"), TYPE, Iri("drugTreatment")) in result.closure
+        made = [result]
+
+        def spy(*args, **kwargs):
+            made.append(closure(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(cli, "closure", spy)
+        monkeypatch.setattr(entailment, "closure", spy)
+        path = tmp_path / "g.rnt"
+        path.write_text(medical_text)
+        for command in ("close", "stats"):
+            assert cli.main([command, str(path), "--out", str(tmp_path / f"{command}.txt")]) == 0
+        held = Graph(closure(g).closure.triples()[-3:])
+        assert entails(g, held).holds
+        assert not entails(g, Graph([Triple(Iri("morphine"), TYPE, Iri("nowhere"))])).holds
+        assert len(made) == 5
+        assert not any(built(r.closure) for r in made)
+
+    def test_result_pickles_copies_and_compares(self):
+        """A proof reads the ids and builds no graph; a pickled or
+        deep-copied graph comes back unbuilt and compares equal so.  The
+        twins keep no ids, and their proofs, read off the provenance, are
+        those read off the ids."""
+        result = closure(cubic(3))
+        goal = Graph([Triple(Iri("a1"), Iri("p3"), Iri("a2"))])
+        proof = extract_proof(goal, VariableMap.identity(), result)
+        assert len(proof) > 3 and not built(result.closure)
+        twins = [pickle.loads(pickle.dumps(result)), copy.deepcopy(result)]
+        assert not any(built(twin.closure) for twin in twins)
+        twins.append(copy.copy(result))
+        assert all(twin == result for twin in twins)
+        assert all(twin.closure.triples() == result.closure.triples() for twin in twins)
+        assert all(twin.provenance == result.provenance for twin in twins)
+        assert all(extract_proof(goal, VariableMap.identity(), twin) == proof for twin in twins)
 
 
 def recognized(g):
