@@ -97,24 +97,26 @@ def _report_parse_errors(path: str, err: GraphParseError) -> None:
         print(f"{path}:{e.span}: {e.kind} error: {e.message}", file=sys.stderr)
 
 
-def _premise_text(step) -> str:
-    return " ; ".join(serialize_triple(p)[:-2] for p in step.premises)
+def _trace_text(graph) -> str:
+    """The closure graph's lines, each derived triple's with its rule and
+    premises, from one string per term id and per triple, as
+    :func:`serialize_graph` writes them; whole lines sort as their
+    triples do."""
+    terms = list(map(serialize_term, graph._index.table.terms))
+    triple = {key: f"{terms[key[0]]} {terms[key[1]]} {terms[key[2]]}" for key in graph._keys}
+    lines: List[str] = []
+    for key, step in graph._keys.items():
+        if step is None:
+            lines.append(f"{triple[key]} .\n")
+        else:
+            lines.append(f"{triple[key]} . # {step[0]}: {' ; '.join([triple[k] for k in step[1]])}\n")
+    return "".join(sorted(lines))
 
 
 def cmd_close(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     result = closure(g, args.mode, cap=args.cap)
-    if not args.trace:
-        _write(args.out, serialize_graph(result.closure))
-        return EXIT_OK
-    lines: List[str] = []
-    for t in sorted(result.closure, key=serialize_triple):
-        line = serialize_triple(t)
-        step = result.provenance.get(t)
-        if step is not None:
-            line += f" # {step.rule}: {_premise_text(step)}"
-        lines.append(line + "\n")
-    _write(args.out, "".join(lines))
+    _write(args.out, (_trace_text if args.trace else serialize_graph)(result.closure))
     return EXIT_OK
 
 

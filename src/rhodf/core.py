@@ -407,27 +407,31 @@ class Graph:
 
 
 class _IdGraph(Graph):
-    """A :class:`Graph` of distinct, valid ``(s, p, o)`` id triples.
+    """A :class:`Graph` of distinct, valid ``(s, p, o)`` id triples: the
+    closure's graph, and its only record of how each triple came about.
 
-    ``keys`` maps each id triple to ``None`` in graph order; ``table``
-    turns ids into terms through its ``terms`` list and terms into ids
-    through its ``ids`` dict, as a :class:`~rhodf.reasoner.TermTable`
-    does.  Length, membership and :func:`~rhodf.parser.serialize_graph`
-    answer from the ids.  The :class:`Triple` values, and their set, are
-    built when something first iterates, compares or hashes the graph.
+    ``keys`` maps each id triple, in graph order, to the rule and id
+    premises of its first derivation, or to ``None`` for an input
+    triple.  ``index`` is the closure engine's
+    :class:`~rhodf.reasoner.TripleIndex` of those triples, whose
+    ``table`` turns ids into terms through its ``terms`` list and terms
+    into ids through its ``ids`` dict.  Length, membership and
+    :func:`~rhodf.parser.serialize_graph` answer from the ids.  The
+    :class:`Triple` values, and their set, are built when something
+    first iterates, compares or hashes the graph.
     """
 
-    __slots__ = ("_keys", "_table")
+    __slots__ = ("_keys", "_index")
 
-    def __init__(self, keys: Dict[Tuple[int, int, int], None], table: object) -> None:
+    def __init__(self, keys: Dict[Tuple[int, int, int], Optional[tuple]], index: object) -> None:
         self._keys = keys
-        self._table = table
+        self._index = index
 
     def __getattr__(self, name: str) -> object:
         # Reached only for an unset slot: build the triples once.
         if name != "_order" and name != "_set":
             raise AttributeError(name)
-        terms = self._table.terms
+        terms = self._index.table.terms
         self._order = tuple([_trusted_triple(terms[s], terms[p], terms[o]) for s, p, o in self._keys])
         self._set = frozenset(self._order)
         return getattr(self, name)
@@ -438,14 +442,14 @@ class _IdGraph(Graph):
     def __contains__(self, t: object) -> bool:
         if t.__class__ is not Triple:
             return False
-        ids = self._table.ids
+        ids = self._index.table.ids
         return (ids.get(t.s), ids.get(t.p), ids.get(t.o)) in self._keys
 
     def __reduce__(self) -> tuple:
-        return (_IdGraph, (self._keys, self._table))
+        return (_IdGraph, (self._keys, self._index))
 
     def _rows(self) -> Tuple[Iterable[tuple], Optional[Sequence[Term]]]:
-        return self._keys, self._table.terms
+        return self._keys, self._index.table.terms
 
 
 # ---------------------------------------------------------------------------

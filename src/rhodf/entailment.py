@@ -12,17 +12,18 @@ counts every candidate it tries against an optional budget; exceeding
 the budget raises :class:`SearchBudgetExceeded` so callers can tell
 "gave up" apart from "does not hold".  :func:`entails` decides every
 query by it, over the id triples of the closure engine's own
-:class:`~rhodf.reasoner.TripleIndex`; :func:`find_map` indexes its
-target the same way.  The model checker in :mod:`rhodf.semantics`
-feeds it the blank assignments under which a triple holds in an
-interpretation.
+:class:`~rhodf.reasoner.TripleIndex`, which the closure's graph keeps;
+:func:`find_map` reuses that index when its target is a closure graph
+and indexes any other target the same way.  The model checker in
+:mod:`rhodf.semantics` feeds it the blank assignments under which a
+triple holds in an interpretation.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple, TypeVar
 
-from .core import Blank, Graph, Record, Triple, VariableMap, apply_map
+from .core import Blank, Graph, Record, Triple, VariableMap, _IdGraph, _Memo, _trusted_triple, apply_map
 from .reasoner import ClosureResult, IdTriple, ProofStep, RuleId, TermTable, TripleIndex
 from .reasoner import _closure as closure
 
@@ -148,19 +149,18 @@ def solve(
     return sigma
 
 
-def _match_candidates(target: Graph, ix: Optional[TripleIndex] = None) -> Tuple[Callable, Callable]:
+def _match_candidates(target: Graph) -> Tuple[Callable, Callable]:
     """Candidate lister and binder for :func:`solve`: the lister gives
     the triples of ``target`` a query triple can match under the bindings
-    so far, as id triples of ``ix``, a :class:`~rhodf.reasoner.TripleIndex`
-    of ``target`` built here unless given, and the binder binds the
-    query's blanks to the terms of one of them.  A given ``ix`` comes
-    with the closure graph of its own term table."""
-    if ix is None:
+    so far, as id triples of its :class:`~rhodf.reasoner.TripleIndex`,
+    and the binder binds the query's blanks to the terms of one of them.
+    The closure's graph brings the engine's index; any other graph is
+    indexed here."""
+    if not isinstance(target, _IdGraph):
         table = TermTable()
         keys = dict.fromkeys(map(table.encode, target))
-        ix = TripleIndex(table, keys)
-    else:
-        keys = target._keys
+        target = _IdGraph(keys, TripleIndex(table, keys))
+    ix, keys = target._index, target._keys
     ids, terms = ix.table.ids, ix.table.terms
 
     def candidates(t: Triple, sigma: Bindings) -> Sequence[IdTriple]:
@@ -211,36 +211,42 @@ def extract_proof(h: Graph, mu: VariableMap, result: ClosureResult) -> Tuple[Pro
     premises appear earlier in the sequence.  A final rule 1a step maps
     the derived triples onto ``h``; it is omitted when ``h`` is ground
     and ``mu`` is the identity, where the map rule would do no work.
+    The walk reads the closure graph's id steps and builds only the
+    triples of the proof.
     """
     goal = apply_map(mu, h)
+    graph = result.closure
+    record, ids, terms = graph._keys, graph._index.table.ids, graph._index.table.terms
+    roots = []
     for t in goal:
-        if t not in result.closure:
+        key = (ids.get(t.s), ids.get(t.p), ids.get(t.o))
+        if key not in record:
             raise ValueError(f"triple {t} is not in the closure")
+        roots.append(key)
+    triple = _Memo(lambda k: _trusted_triple(terms[k[0]], terms[k[1]], terms[k[2]]))
     steps: List[ProofStep] = []
-    emitted: Set[Triple] = set()
-    # Steps are built only for the triples of the proof.
-    derived = result._derived()
+    emitted: Set[IdTriple] = set()
 
-    def visit(root: Triple) -> None:
+    def visit(root: IdTriple) -> None:
         # Iterative post-order; provenance chains can be deep.  A triple
         # comes back with its step once its premises are done.
-        stack: List[Tuple[Triple, Optional[ProofStep]]] = [(root, None)]
+        stack: List[Tuple[IdTriple, Optional[ProofStep]]] = [(root, None)]
         while stack:
-            t, step = stack.pop()
-            if t in emitted:
+            key, step = stack.pop()
+            if key in emitted:
                 continue
             if step is None:
-                rule, premises = derived.get(t, (RuleId.R1B, ()))
-                step = ProofStep(rule, premises, t)
+                rule, premises = record[key] or (RuleId.R1B, ())
+                step = ProofStep(rule, tuple(map(triple.__getitem__, premises)), triple[key])
                 if premises:
-                    stack.append((t, step))
+                    stack.append((key, step))
                     stack.extend((prem, None) for prem in reversed(premises))
                     continue
-            emitted.add(t)
+            emitted.add(key)
             steps.append(step)
 
-    for t in goal:
-        visit(t)
+    for key in roots:
+        visit(key)
     if not (mu.is_identity and h.is_ground):
         steps.append(
             ProofStep(
@@ -272,7 +278,7 @@ def entails(
     """
     result = closure(g, mode, cap=cap)
     blanks = h.blanks
-    candidates, unify = _match_candidates(result.closure, result._index)
+    candidates, unify = _match_candidates(result.closure)
     sigma = solve(list(h), candidates, unify, budget if blanks else None)
     if sigma is None:
         return EntailmentReport(holds=False, missing=tuple(t for t in h if not candidates(t, {})))

@@ -24,8 +24,8 @@ its star, a star's subscript and the validity flags.  The index, the
 rounds' deltas and the matchers hold ``(s, p, o)`` id tuples, and a
 candidate is deduplicated and validated as such.  The engine builds no
 :class:`Triple`: the closure's :class:`~rhodf.core.Graph` keeps the id
-triples with the term table and builds its triples, unchecked, only
-when something first iterates, compares or hashes it; its length,
+triples with the index and builds its triples, unchecked, only when
+something first iterates, compares or hashes it; its length,
 membership and serialization answer from the ids.  The index keeps the
 id triples by predicate, by subject and predicate, by predicate and
 object, and by star subscript.  Each round is one record, its delta:
@@ -51,12 +51,14 @@ reserved nor stars.  Without the transitivity rule, every triple is a
 root.  Rules 2d/2e list a subset of what 2b lists, so they do not run
 when 2b does; they still count in the stats, with 0.
 
-The closure keeps the rule and premise id triples of each derived
-triple, and :attr:`ClosureResult.provenance` builds a :class:`ProofStep`
-of triples from each when it is first read.  It also keeps the engine's
-index and term table, which :func:`~rhodf.entailment.entails` and
-:func:`~rhodf.semantics.canonical_model` read instead of encoding the
-closure again.
+The engine's one ordered dict of id triples is the closure's record:
+it maps each triple to the rule and id premises of its first
+derivation, or to ``None`` for an input triple, and the closure's
+graph keeps it.  Every reader of the closure reads that graph: proofs,
+``rhodf close --trace`` and :attr:`ClosureResult.provenance` decode
+the steps they need, and :func:`~rhodf.entailment.entails` and
+:func:`~rhodf.semantics.canonical_model` read the index instead of
+encoding the closure again.
 
 Each mirrored pair of rules comes from one matcher factory, closed over
 a predicate id or a triple position (2 = object, 0 = subject); rules 2b
@@ -65,7 +67,6 @@ and 3b have no mirror and are written out.
 
 from __future__ import annotations
 
-import itertools
 import time
 from enum import Enum
 from typing import (
@@ -80,7 +81,6 @@ from typing import (
     Sequence,
     Set,
     Tuple,
-    Union,
 )
 
 from .core import (
@@ -100,8 +100,6 @@ from .core import (
     Triple,
     VariableMap,
     _IdGraph,
-    _Memo,
-    _trusted_triple,
     try_negate,
 )
 
@@ -223,79 +221,38 @@ class ClosureStats(Record):
 
 
 class ClosureResult(Record):
-    """Closure graph plus provenance and domain bookkeeping.
+    """Closure graph plus domain bookkeeping and the run's counters.
 
     :func:`closure` gives a ``closure`` graph of the engine's id triples,
-    which builds its :class:`Triple` values on first use.
-    ``provenance`` maps each derived (non-input) triple to the first
-    :class:`ProofStep` that produced it.  :func:`closure` passes
-    ``None`` for it and, as ``_steps``, the rule and id premises of each
-    derived triple in closure order: the mapping is then built on first
-    read, so a caller that never reads it never builds its steps.
-    ``_index`` is the engine's :class:`TripleIndex` of the closure, with
-    its :class:`TermTable`, or ``None``; like ``_steps``, it is not a field.
+    which builds its :class:`Triple` values on first use.  The graph
+    also keeps the rule and id premises of each derived triple, and the
+    engine's :class:`TripleIndex` with its :class:`TermTable`, which
+    :func:`~rhodf.entailment.entails` and
+    :func:`~rhodf.semantics.canonical_model` read instead of encoding
+    the closure again.  :attr:`provenance` is read off those steps.
     """
 
-    __slots__ = ("closure", "provenance", "class_terms", "property_terms", "stats", "_steps", "_index")
+    __slots__ = ("closure", "class_terms", "property_terms", "stats", "_provenance")
 
-    def __init__(
-        self,
-        closure: Graph,
-        provenance: Optional[Mapping[Triple, ProofStep]],
-        class_terms: FrozenSet[Term],
-        property_terms: FrozenSet[Term],
-        stats: ClosureStats,
-        _steps: Sequence[Tuple[RuleId, Tuple[IdTriple, ...]]] = (),
-        _index: Optional[TripleIndex] = None,
-    ) -> None:
-        self._init(closure, provenance, class_terms, property_terms, stats)
-        object.__setattr__(self, "_steps", _steps)
-        object.__setattr__(self, "_index", _index)
-        if provenance is None:
-            object.__delattr__(self, "provenance")
+    def __init__(self, closure: Graph, class_terms: FrozenSet[Term], property_terms: FrozenSet[Term], stats: ClosureStats) -> None:
+        self._init(closure, class_terms, property_terms, stats)
+        object.__setattr__(self, "_provenance", None)
 
-    def __getattr__(self, name: str) -> object:
-        # Reached only for an unset slot: build ``provenance`` once.
-        if name != "provenance":
-            raise AttributeError(name)
-        derived = self._derived().items() if self._steps else ()
-        provenance = {t: ProofStep(rule, premises, t) for t, (rule, premises) in derived}
-        object.__setattr__(self, "provenance", provenance)
-        object.__setattr__(self, "_steps", ())
-        return provenance
-
-    def _derived(self) -> Union[_Derived, Dict[Triple, Tuple[RuleId, Tuple[Triple, ...]]]]:
-        """The rule and premises of each derived triple, in closure order,
-        by ``get`` or ``items`` as of a dict; no step is built."""
-        if not self._steps:
-            return {t: (step.rule, step.premises) for t, step in self.provenance.items()}
-        return _Derived(self.closure, self._steps, self._index.table)
-
-
-class _Derived:
-    """The rule and premises of each derived triple, read off the engine's
-    id steps.  A triple is built when a lookup or the listing reaches it,
-    once per id triple, so a proof builds only its own."""
-
-    def __init__(self, graph: _IdGraph, steps: Sequence[Tuple[RuleId, Tuple[IdTriple, ...]]], table: TermTable) -> None:
-        self.graph, keys = graph, graph._keys
-        self.steps = dict(zip(itertools.islice(keys, len(keys) - len(steps), None), steps))
-        self.ids, terms = table.ids, table.terms
-        self.triple = _Memo(lambda k: _trusted_triple(terms[k[0]], terms[k[1]], terms[k[2]]))
-
-    def _decode(self, step: Tuple[RuleId, Tuple[IdTriple, ...]]) -> Tuple[RuleId, Tuple[Triple, ...]]:
-        rule, premises = step
-        return rule, tuple(map(self.triple.__getitem__, premises))
-
-    def get(self, t: Triple, default: object = None) -> object:
-        ids = self.ids
-        step = self.steps.get((ids.get(t.s), ids.get(t.p), ids.get(t.o)))
-        return default if step is None else self._decode(step)
-
-    def items(self) -> Iterator[Tuple[Triple, Tuple[RuleId, Tuple[Triple, ...]]]]:
-        # The listing reaches every triple, so it shares the graph's.
-        self.triple.update(zip(self.graph._keys, self.graph.triples()))
-        return ((self.triple[k], self._decode(step)) for k, step in self.steps.items())
+    @property
+    def provenance(self) -> Mapping[Triple, ProofStep]:
+        """The first :class:`ProofStep` that produced each derived (non-input)
+        triple, in closure order, built from the closure graph's steps on
+        first read; a caller that never reads it never builds a step."""
+        if self._provenance is None:
+            keys = self.closure._keys
+            triple = dict(zip(keys, self.closure.triples()))
+            steps = {
+                triple[k]: ProofStep(step[0], tuple(map(triple.__getitem__, step[1])), triple[k])
+                for k, step in keys.items()
+                if step is not None
+            }
+            object.__setattr__(self, "_provenance", steps)
+        return self._provenance
 
 
 class ClosureCapError(RuntimeError):
@@ -387,8 +344,9 @@ class TripleIndex:
     the subproperty statements of ``x`` and ``by_po[(_TYPE, c)]`` the
     typings into ``c``.  ``star_by_sub[pos][c]`` lists the triples with
     a star over ``c`` at position ``pos``, 2 for the object and 0 for
-    the subject.  It keeps no :class:`Triple`.  :class:`ClosureResult`
-    keeps the engine's; :func:`~rhodf.entailment.find_map` builds one.
+    the subject.  It keeps no :class:`Triple`.  The closure's graph keeps
+    the engine's; :func:`~rhodf.entailment.find_map` builds one for any
+    other graph.
 
     ``root_by_pred``, ``root_by_po`` and ``root_by_sp`` are keyed as
     their full twins and list the roots given to :meth:`add_root`, in
@@ -658,9 +616,8 @@ def _star_neg(pos: int) -> _Matcher:
         neg, sub = ix.table.neg, ix.table.sub
         pairs = ix.by_sp if pos == 2 else ix.by_po
         for t1 in dx.star[pos]:
+            # A star triple's predicate is never reserved, so it has a complement.
             nd = neg[t1[1]]
-            if nd < 0:
-                continue
             for t2 in pairs.get((t1[0], nd) if pos == 2 else (nd, t1[2]), ()):
                 yield (t1, t2), (t2[pos], _TYPE, neg[sub[t1[pos]]])
         if any(neg[p] in ix.by_pred for p in dx.by_pred):
@@ -837,11 +794,11 @@ class _Engine:
         self.lifts = {r for r in self.rules if _LIFTS.get(r) in rule_ids}
         self.table = TermTable()
         self.index = TripleIndex(self.table)
-        # Every installed or pending id triple, in first-insertion order:
-        # it drops rediscovered candidates and becomes the closure's graph.
-        self.triples: Dict[IdTriple, None] = {}
-        # The rule and premises of each derived triple, in that order.
-        self.steps: List[Tuple[RuleId, Tuple[IdTriple, ...]]] = []
+        # Every installed or pending id triple, in first-insertion order,
+        # with the rule and premises of its first derivation, or ``None``
+        # for an input triple: it drops rediscovered candidates and
+        # becomes the closure's graph.
+        self.triples: Dict[IdTriple, Optional[Tuple[RuleId, Tuple[IdTriple, ...]]]] = {}
         self.fires: Dict[str, int] = {r.value: 0 for r in known}
         self.candidates: Dict[str, int] = dict.fromkeys(self.fires, 0)
         self.round_deltas: List[int] = []
@@ -888,7 +845,7 @@ class _Engine:
         return dx
 
     def run(self) -> int:
-        triples, steps = self.triples, self.steps
+        triples = self.triples
         valid = self.table.valid
         delta = roots = list(triples)  # the input, all installed so far
         while delta:
@@ -902,8 +859,7 @@ class _Engine:
                         continue
                     if len(triples) + 1 > self.cap:
                         raise ClosureCapError(self.cap, len(triples) + 1)
-                    triples[key] = None
-                    steps.append((rule, premises))
+                    triples[key] = (rule, premises)
                     delta.append(key)
                 self.fires[rule.value] += len(delta) - first
                 self.candidates[rule.value] += listed
@@ -950,8 +906,7 @@ def closure(
     elapsed = time.perf_counter() - start
     terms = engine.table.terms
     return ClosureResult(
-        closure=_IdGraph(engine.triples, engine.table),
-        provenance=None,
+        closure=_IdGraph(engine.triples, engine.index),
         class_terms=frozenset([terms[x] for x in engine.domains[_BOTC]]),
         property_terms=frozenset([terms[x] for x in engine.domains[_BOTP]]),
         stats=ClosureStats(
@@ -963,8 +918,6 @@ def closure(
             round_deltas=tuple(engine.round_deltas),
             rule_candidates=dict(engine.candidates),
         ),
-        _steps=engine.steps,
-        _index=engine.index,
     )
 
 

@@ -102,8 +102,9 @@ from .core import (
     Star,
     Term,
     Triple,
+    _Memo,
 )
-from .parser import _Memo, parse_term, serialize_term
+from .parser import parse_term, serialize_term
 from .reasoner import _closure as closure
 
 Element = Term
@@ -232,7 +233,7 @@ def canonical_model(g: Graph, cap: Optional[int] = None) -> "Interpretation":
     ``a p *c`` holds vacuously when ``c`` has no members, derived or not.
     """
     result = closure(g, "full", cap=cap)
-    ix = result._index
+    ix = result.closure._index
     ids, terms, neg, sub, pred = ix.table.ids, ix.table.terms, ix.table.neg, ix.table.sub, ix.table.pred
     sp, typ = ids[SP], ids[TYPE]
     ext_p_pos: Dict[Element, FrozenSet[Pair]] = {}

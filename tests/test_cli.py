@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import rhodf
-from rhodf import closure, load_interpretation, check_model, parse_graph
+from rhodf import SatisfactionReport, Violation, closure, load_interpretation, check_model, parse_graph
 from rhodf import cli
 from rhodf.cli import main
 
@@ -162,6 +162,13 @@ class TestModel:
         graph = parse_graph(pathlib.Path(EXTENDED).read_text(encoding="utf-8"))
         assert check_model(loaded, graph).satisfied
 
+    def test_a_violation_is_listed_and_exits_1(self, capsys, monkeypatch):
+        violation = Violation("Simple.1", "x")
+        monkeypatch.setattr(cli, "check_model", lambda model, g: SatisfactionReport(False, (violation,)))
+        assert main(["model", EXTENDED]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2:] == ["not satisfied", f"violation {violation}"]
+
 
 class TestGen:
     def test_chain_family_round_trips(self, capsys):
@@ -251,10 +258,16 @@ class TestDiagnostics:
         capsys.readouterr()
 
     def test_color_opt_in_wraps_the_verdict(self, tmp_path, capsys, monkeypatch):
+        held = write(tmp_path, "held.rnt", "ebola !hasTreatment paracetamol .\n")
+        failed = write(tmp_path, "failed.rnt", "ebola !hasTreatment ebola .\n")
         monkeypatch.setenv("RHODF_COLOR", "1")
-        query = write(tmp_path, "q.rnt", "ebola !hasTreatment paracetamol .\n")
-        assert main(["entail", EXTENDED, query]) == 0
-        assert "\x1b[32mentailed\x1b[0m" in capsys.readouterr().out
+        assert main(["entail", EXTENDED, held]) == 0
+        assert capsys.readouterr().out == "\x1b[32mentailed\x1b[0m\n"
+        assert main(["entail", EXTENDED, failed]) == 1
+        assert capsys.readouterr().out.startswith("\x1b[31mnot entailed\x1b[0m\n")
+        monkeypatch.delenv("RHODF_COLOR")
+        assert main(["entail", EXTENDED, held]) == 0
+        assert capsys.readouterr().out == "entailed\n"
 
 
 # Runs ``python -m rhodf.cli ARGS...`` and prints, last on stderr, the

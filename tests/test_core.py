@@ -227,8 +227,8 @@ RECORDS = [
     ),
     (
         ClosureResult,
-        (ID_GRAPH, {}, frozenset(), frozenset({SP}), STATS),
-        "ClosureResult(closure=Graph(1 triples), provenance={}, class_terms=frozenset(), property_terms=frozenset({Iri(name='sp')}), "
+        (ID_GRAPH, frozenset(), frozenset({SP}), STATS),
+        "ClosureResult(closure=Graph(1 triples), class_terms=frozenset(), property_terms=frozenset({Iri(name='sp')}), "
         f"stats={STATS!r})",
     ),
     (EntailmentReport, (True, None, None, ()), "EntailmentReport(holds=True, map=None, proof=None, missing=())"),

@@ -91,6 +91,7 @@ class TestEntailsInterface:
             init(table)
 
         monkeypatch.setattr(TermTable, "__init__", counting)
+        cl = closure(medical_negative).closure
         for h in (
             Graph([Triple(Iri("morphine"), TYPE, Iri("drugTreatment"))]),
             Graph([Triple(Iri("brainTumour"), Iri("hasTreatment"), X), Triple(X, TYPE, Neg(Iri("antipyretic")))]),
@@ -99,6 +100,10 @@ class TestEntailsInterface:
             built.clear()
             entails(medical_negative, h, with_proof=True)
             assert len(built) == 1
+            # find_map reuses the index a closure graph brings.
+            built.clear()
+            find_map(h, cl)
+            assert built == []
 
     def test_map_is_reported_only_for_blank_queries(self, medical_negative):
         ground = Graph([Triple(Iri("morphine"), TYPE, Iri("opioid"))])
@@ -338,13 +343,21 @@ class TestExtractProof:
         assert all(step.premises == () for step in starts)
 
     def test_premises_precede_their_conclusions(self, medical_negative):
-        result = closure(medical_negative)
-        h = Graph([Triple(Iri("ebola"), Neg(Iri("hasTreatment")), Iri("paracetamol"))])
-        proof = extract_proof(h, VariableMap.identity(), result)
-        seen = set()
-        for step in proof:
-            assert all(p in seen for p in step.premises)
-            seen.add(step.conclusion)
+        """And each conclusion is listed once, also where two goal triples
+        share premises."""
+        shared = parse_graph("a sc b .\nb sc c .\nx type a .\np dom a .\ny p z .\n")
+        cases = [
+            (medical_negative, "ebola !hasTreatment paracetamol ."),
+            (shared, "x type b .\nx type c ."),
+            (shared, "y type c .\ny type b ."),
+        ]
+        for g, query in cases:
+            proof = extract_proof(parse_graph(query), VariableMap.identity(), closure(g))
+            seen = set()
+            for step in proof:
+                assert all(p in seen for p in step.premises)
+                assert step.conclusion not in seen, query
+                seen.add(step.conclusion)
 
     def test_non_derivable_goal_is_rejected(self):
         g = parse_graph("a sc b .\n")

@@ -67,6 +67,13 @@ class TestTermRoundTrip:
             with pytest.raises(ValueError):
                 parse_term(bad)
 
+    def test_unrepresentable_terms_are_not_written(self):
+        for term in (Iri("a>b"), Literal("x\ny"), Blank("a b")):
+            with pytest.raises(ValueError):
+                serialize_term(term)
+        with pytest.raises(TypeError):
+            serialize_term("a")
+
     def test_a_term_may_not_span_lines(self):
         """As in a statement, which parse_graph_lenient reports when split."""
         for text in ("!\na", "*\n c"):

@@ -166,6 +166,11 @@ class TestResourceCap:
         assert exc.value.cap == 50
         assert exc.value.size > 50
 
+    def test_nonpositive_cap_is_rejected(self):
+        for cap in (0, -1):
+            with pytest.raises(ValueError, match="triple cap must be positive"):
+                closure(spchain(10), cap=cap)
+
     def test_cap_exactly_at_result_size_passes(self):
         assert len(closure(spchain(10), mode="rdf", cap=45).closure) == 45
 
@@ -216,16 +221,19 @@ class TestProvenance:
         assert twin.provenance == first
 
     def test_result_keeps_the_engine_index_outside_its_fields(self):
+        """The closure's graph keeps the engine's index, which a pickled
+        twin brings back with it."""
         g = parse_graph("a sp b .\nb sp c .\nx a *k .\ny type k .\n")
         result = closure(g)
-        ix = result._index
-        terms = ix.table.terms
-        indexed = [Triple(*map(terms.__getitem__, key)) for keys in ix.by_pred.values() for key in keys]
-        assert sorted(indexed, key=serialize_triple) == sorted(result.closure, key=serialize_triple)
+        twin = pickle.loads(pickle.dumps(result))
+        for r in (result, twin):
+            ix = r.closure._index
+            terms = ix.table.terms
+            indexed = [Triple(*map(terms.__getitem__, key)) for keys in ix.by_pred.values() for key in keys]
+            assert sorted(indexed, key=serialize_triple) == sorted(r.closure, key=serialize_triple)
         assert Graph(result.closure.triples()).triples() == result.closure.triples()
         assert "_index" not in repr(result)
-        twin = pickle.loads(pickle.dumps(result))
-        assert twin == result and twin._index is None
+        assert twin == result
 
 
 def built(g):
@@ -263,6 +271,8 @@ class TestClosureGraph:
                 list(map(fresh().__contains__, probes)) == [t in plain for t in probes],
                 pickle.loads(pickle.dumps(fresh())) == plain,
                 repr(fresh()) == repr(plain),
+                [x in fresh() for x in (None, "a", (7, 0, 8))] == [x in plain for x in (None, "a", (7, 0, 8))] == [False] * 3,
+                (fresh() == 5, fresh() != 5) == (plain == 5, plain != 5) == (False, True),
             ]
             if not all(checks):
                 wrong.append((k, checks))
@@ -278,10 +288,32 @@ class TestClosureGraph:
                 wrong.append(k)
         assert wrong == []
 
+    @pytest.mark.parametrize("mode", ["rdf", "full"])
+    def test_close_trace_prints_each_derived_triple_with_its_step(self, mode, tmp_path, capsys):
+        """``rhodf close --trace`` byte for byte: the closure's lines sorted
+        by their triples' text, each derived triple's with the rule and
+        premises its provenance gives."""
+        path = tmp_path / "g.rnt"
+        wrong = []
+        for k, g in enumerate(oracle_inputs()):
+            text = serialize_graph(g)
+            path.write_text(text, encoding="utf-8")
+            result = closure(parse_graph(text), mode)
+            lines = []
+            for t in sorted(result.closure, key=serialize_triple):
+                step = result.provenance.get(t)
+                note = "" if step is None else f" # {step.rule}: " + " ; ".join(serialize_triple(p)[:-2] for p in step.premises)
+                lines.append(serialize_triple(t) + note + "\n")
+            assert cli.main(["close", "--trace", "--mode", mode, str(path)]) == 0
+            if capsys.readouterr().out != "".join(lines):
+                wrong.append(k)
+        assert wrong == []
+
     def test_size_text_stats_and_ground_entailment_build_no_triple(self, medical_text, tmp_path, monkeypatch):
         """So the saving of keeping ids cannot silently come back: the
-        closure graphs made by hand, by ``rhodf close`` and ``stats`` and by
-        ``entails`` on ground queries, held and not, stay unbuilt."""
+        closure graphs made by hand, by ``rhodf close``, ``close --trace``
+        and ``stats`` and by ``entails`` on ground queries, held and not,
+        stay unbuilt."""
         g = parse_graph(medical_text)
         result = closure(g)
         serialize_graph(result.closure)
@@ -297,19 +329,19 @@ class TestClosureGraph:
         monkeypatch.setattr(entailment, "closure", spy)
         path = tmp_path / "g.rnt"
         path.write_text(medical_text)
-        for command in ("close", "stats"):
-            assert cli.main([command, str(path), "--out", str(tmp_path / f"{command}.txt")]) == 0
+        for command in (["close"], ["close", "--trace"], ["stats"]):
+            assert cli.main([*command, str(path), "--out", str(tmp_path / "out.txt")]) == 0
         held = Graph(closure(g).closure.triples()[-3:])
         assert entails(g, held).holds
         assert not entails(g, Graph([Triple(Iri("morphine"), TYPE, Iri("nowhere"))])).holds
-        assert len(made) == 5
+        assert len(made) == 6
         assert not any(built(r.closure) for r in made)
 
     def test_result_pickles_copies_and_compares(self):
         """A proof reads the ids and builds no graph; a pickled or
         deep-copied graph comes back unbuilt and compares equal so.  The
-        twins keep no ids, and their proofs, read off the provenance, are
-        those read off the ids."""
+        twins keep the ids and their steps, so their provenance and
+        proofs are read the same way and equal the original's."""
         result = closure(cubic(3))
         goal = Graph([Triple(Iri("a1"), Iri("p3"), Iri("a2"))])
         proof = extract_proof(goal, VariableMap.identity(), result)
